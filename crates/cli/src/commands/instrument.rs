@@ -63,34 +63,27 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             result.stats.num_components, result.stats.shortcuts_removed
         );
 
-        // Instrument each referenced JSDF we can locate.
+        // Instrument each distinct referenced JSDF we can locate, once.
         let jsdf_dir = args
             .get("jsdf-dir")
             .map(PathBuf::from)
             .or_else(|| Path::new(&path).parent().map(Path::to_path_buf))
             .unwrap_or_else(|| PathBuf::from("."));
-        let mut seen = std::collections::BTreeSet::new();
-        for job in file.job_names() {
-            if let Some(submit) = file.submit_file(job) {
-                if !seen.insert(submit.to_string()) {
-                    continue;
+        for submit in file.submit_files() {
+            let jsdf_path = jsdf_dir.join(submit);
+            match std::fs::read_to_string(&jsdf_path) {
+                Ok(jsdf_text) => {
+                    let mut jsdf = Jsdf::parse(&jsdf_text);
+                    jsdf.instrument_priority();
+                    std::fs::write(&jsdf_path, jsdf.to_text())
+                        .map_err(|e| CliError::input(format!("{}: {e}", jsdf_path.display())))?;
+                    eprintln!("prio: instrumented {}", jsdf_path.display());
                 }
-                let jsdf_path = jsdf_dir.join(submit);
-                match std::fs::read_to_string(&jsdf_path) {
-                    Ok(jsdf_text) => {
-                        let mut jsdf = Jsdf::parse(&jsdf_text);
-                        jsdf.instrument_priority();
-                        std::fs::write(&jsdf_path, jsdf.to_text()).map_err(|e| {
-                            CliError::input(format!("{}: {e}", jsdf_path.display()))
-                        })?;
-                        eprintln!("prio: instrumented {}", jsdf_path.display());
-                    }
-                    Err(_) => {
-                        eprintln!(
-                            "prio: note: submit file {} not found, skipped",
-                            jsdf_path.display()
-                        );
-                    }
+                Err(_) => {
+                    eprintln!(
+                        "prio: note: submit file {} not found, skipped",
+                        jsdf_path.display()
+                    );
                 }
             }
         }

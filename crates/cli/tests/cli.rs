@@ -57,6 +57,54 @@ fn instrument_in_place_overwrites() {
 }
 
 #[test]
+fn instrument_visits_each_submit_file_once_in_declaration_order() {
+    let dir = tempdir("shared-jsdf");
+    let dag = "\
+JOB a late.sub
+JOB b shared.sub
+JOB c shared.sub
+JOB d missing.sub
+JOB e shared.sub
+JOB f early.sub
+PARENT a CHILD b c
+PARENT d CHILD e f
+";
+    std::fs::write(dir.join("w.dag"), dag).unwrap();
+    for sub in ["late.sub", "shared.sub", "early.sub"] {
+        std::fs::write(dir.join(sub), "universe = vanilla\nqueue\n").unwrap();
+    }
+    let out = prio(&["instrument", "w.dag"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+
+    // Three jobs share one submit file: it is rewritten once, so the
+    // priority assignment appears exactly once.
+    let shared = std::fs::read_to_string(dir.join("shared.sub")).unwrap();
+    assert_eq!(
+        shared.matches("priority = $(jobpriority)").count(),
+        1,
+        "{shared}"
+    );
+    // The stderr lines follow first declaration, and the missing file is
+    // a note, not an error.
+    let visited: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("prio: instrumented ") || l.contains("not found, skipped"))
+        .collect();
+    assert_eq!(
+        visited,
+        [
+            "prio: instrumented late.sub",
+            "prio: instrumented shared.sub",
+            "prio: note: submit file missing.sub not found, skipped",
+            "prio: instrumented early.sub",
+        ],
+        "stderr: {stderr}"
+    );
+    assert!(!dir.join("missing.sub").exists());
+}
+
+#[test]
 fn schedule_prints_prio_order() {
     let dir = tempdir("schedule");
     std::fs::write(dir.join("IV.dag"), FIG3).unwrap();

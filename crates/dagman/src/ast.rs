@@ -8,7 +8,7 @@
 
 use crate::error::DagmanError;
 use prio_graph::{Dag, DagBuilder, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// An interned job name.
@@ -172,6 +172,10 @@ impl DagmanFile {
     }
 
     /// The submit file declared for `job`, if any.
+    ///
+    /// Each call scans every statement, so calling it once per job is
+    /// quadratic in the file size; walk the file once instead (for
+    /// example with [`DagmanFile::submit_files`]).
     pub fn submit_file(&self, job: &str) -> Option<&str> {
         self.statements.iter().find_map(|s| match s {
             Statement::Job {
@@ -179,6 +183,20 @@ impl DagmanFile {
             } if &**name == job => Some(submit_file.as_str()),
             _ => None,
         })
+    }
+
+    /// The distinct submit files of the `JOB` statements, in order of
+    /// first declaration. One pass over the statements.
+    pub fn submit_files(&self) -> Vec<&str> {
+        let mut seen = HashSet::new();
+        self.statements
+            .iter()
+            .filter_map(|s| match s {
+                Statement::Job { submit_file, .. } => Some(submit_file.as_str()),
+                _ => None,
+            })
+            .filter(|submit| seen.insert(*submit))
+            .collect()
     }
 
     /// Extracts the job-dependency DAG. Node indices follow declaration
@@ -244,6 +262,9 @@ impl DagmanFile {
     }
 
     /// Looks up the value of a `VARS` macro for a job, if defined.
+    ///
+    /// Each call scans every statement, so it must not be called once per
+    /// job on a large file.
     pub fn vars_value(&self, job: &str, key: &str) -> Option<&str> {
         self.statements.iter().rev().find_map(|s| match s {
             Statement::Vars { job: j, pairs } if &**j == job => pairs
@@ -442,5 +463,14 @@ mod tests {
     fn submit_file_lookup() {
         assert_eq!(fig3_file().submit_file("c"), Some("c.submit"));
         assert_eq!(fig3_file().submit_file("zz"), None);
+    }
+
+    #[test]
+    fn submit_files_are_distinct_in_first_declaration_order() {
+        let f = crate::parse::parse_dagman(
+            "JOB a z.sub\nSUBDAG EXTERNAL s s.dag\nJOB b y.sub\nJOB c z.sub\nJOB d x.sub\n",
+        )
+        .unwrap();
+        assert_eq!(f.submit_files(), ["z.sub", "y.sub", "x.sub"]);
     }
 }

@@ -97,37 +97,50 @@ pub fn instrument_dagman_with(
         }
     }
     prio_obs::counter("dagman.instrument.statements_updated").add(updated.len() as u64);
-    // Insert after each node statement lacking one.
-    let mut inserted = 0u64;
-    let mut i = 0;
-    while i < file.statements.len() {
-        let node = match &file.statements[i] {
-            Statement::Job { name, .. } => Some((name.clone(), false)),
-            Statement::Subdag { name, .. } => Some((name.clone(), true)),
+
+    // Insert after each node statement lacking one, in one pass: grow the
+    // list once by the number of insertions, then fill it from the back so
+    // every statement moves exactly once (a `Vec::insert` per job would
+    // shift the whole tail each time, quadratic in the file size).
+    let missing = |name: &JobName| !updated.contains(name);
+    let inserts = file
+        .statements
+        .iter()
+        .filter(|s| {
+            matches!(s, Statement::Job { name, .. } | Statement::Subdag { name, .. } if missing(name))
+        })
+        .count();
+    let statements = &mut file.statements;
+    let mut read = statements.len();
+    statements.resize_with(read + inserts, || Statement::Blank);
+    // Slots `read..write` are vacated (`Blank`); once no insertion remains
+    // below `read`, the prefix is already in its final place.
+    let mut write = statements.len();
+    while write > read {
+        read -= 1;
+        let inserted = match &statements[read] {
+            Statement::Job { name, .. } if missing(name) && mode == InstrumentMode::VarsMacro => {
+                Some(Statement::Vars {
+                    job: name.clone(),
+                    pairs: vec![(JOBPRIORITY.to_string(), priorities[&**name].to_string())],
+                })
+            }
+            Statement::Job { name, .. } | Statement::Subdag { name, .. } if missing(name) => {
+                Some(Statement::Priority {
+                    job: name.clone(),
+                    value: priorities[&**name] as i64,
+                })
+            }
             _ => None,
         };
-        if let Some((name, is_subdag)) = node {
-            if !updated.contains(&name) {
-                let p = priorities[&*name];
-                let stmt = if mode == InstrumentMode::PriorityStatement || is_subdag {
-                    Statement::Priority {
-                        job: name,
-                        value: p as i64,
-                    }
-                } else {
-                    Statement::Vars {
-                        job: name,
-                        pairs: vec![(JOBPRIORITY.to_string(), p.to_string())],
-                    }
-                };
-                file.statements.insert(i + 1, stmt);
-                inserted += 1;
-                i += 1; // skip the inserted statement
-            }
+        if let Some(stmt) = inserted {
+            write -= 1;
+            statements[write] = stmt;
         }
-        i += 1;
+        write -= 1;
+        statements.swap(read, write);
     }
-    prio_obs::counter("dagman.instrument.statements_inserted").add(inserted);
+    prio_obs::counter("dagman.instrument.statements_inserted").add(inserts as u64);
     Ok(())
 }
 
@@ -136,6 +149,154 @@ mod tests {
     use super::*;
     use crate::parse::parse_dagman;
     use crate::write::write_dagman;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The original insertion loop, kept as the oracle for the one-pass
+    /// back-fill: one `Vec::insert` per node statement lacking a priority.
+    fn instrument_by_vec_insert(
+        file: &mut DagmanFile,
+        priorities: &BTreeMap<String, u32>,
+        mode: InstrumentMode,
+    ) -> Result<(), DagmanError> {
+        for name in file.job_names() {
+            if !priorities.contains_key(name) {
+                return Err(DagmanError::UnknownJob {
+                    line: 0,
+                    job: name.to_string(),
+                });
+            }
+        }
+        let mut updated = std::collections::HashSet::new();
+        for s in file.statements.iter_mut() {
+            match s {
+                Statement::Vars { job, pairs } if mode == InstrumentMode::VarsMacro => {
+                    if let Some(p) = priorities.get(&**job) {
+                        for (k, v) in pairs.iter_mut() {
+                            if k == JOBPRIORITY {
+                                *v = p.to_string();
+                                updated.insert(job.clone());
+                            }
+                        }
+                    }
+                }
+                Statement::Priority { job, value } => {
+                    if let Some(&p) = priorities.get(&**job) {
+                        *value = p as i64;
+                        updated.insert(job.clone());
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut i = 0;
+        while i < file.statements.len() {
+            let node = match &file.statements[i] {
+                Statement::Job { name, .. } => Some((name.clone(), false)),
+                Statement::Subdag { name, .. } => Some((name.clone(), true)),
+                _ => None,
+            };
+            if let Some((name, is_subdag)) = node {
+                if !updated.contains(&name) {
+                    let p = priorities[&*name];
+                    let stmt = if mode == InstrumentMode::PriorityStatement || is_subdag {
+                        Statement::Priority {
+                            job: name,
+                            value: p as i64,
+                        }
+                    } else {
+                        Statement::Vars {
+                            job: name,
+                            pairs: vec![(JOBPRIORITY.to_string(), p.to_string())],
+                        }
+                    };
+                    file.statements.insert(i + 1, stmt);
+                    i += 1;
+                }
+            }
+            i += 1;
+        }
+        Ok(())
+    }
+
+    /// A seeded DAGMan file mixing every statement kind instrumentation
+    /// meets: `JOB` and `SUBDAG EXTERNAL` nodes, pre-existing `VARS …
+    /// jobpriority` (alone, among other pairs, before or after the node's
+    /// declaration), unrelated `VARS`, `PRIORITY`, `PARENT … CHILD`,
+    /// comments, blank lines and verbatim `Other` statements. Returns the
+    /// text and the node names.
+    fn seeded_file(seed: u64) -> (String, Vec<String>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(1usize..40);
+        let names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
+        let mut text = String::new();
+        for (i, name) in names.iter().enumerate() {
+            if rng.gen_bool(0.2) {
+                text += &format!("SUBDAG EXTERNAL {name} {name}.dag\n");
+            } else if rng.gen_bool(0.2) {
+                text += &format!("JOB {name} shared.sub DIR d{i}\n");
+            } else {
+                text += &format!("JOB {name} {name}.sub\n");
+            }
+            for _ in 0..rng.gen_range(0usize..4) {
+                let other = &names[rng.gen_range(0..n)];
+                text += &match rng.gen_range(0u32..9) {
+                    0 => "\n".to_string(),
+                    1 => format!("# note about {other}\n"),
+                    2 => format!("RETRY {other} 3\n"),
+                    3 => format!("VARS {other} jobpriority=\"{}\"\n", rng.gen_range(0u32..99)),
+                    4 => format!("VARS {other} a=\"x\" jobpriority=\"0\" b=\"y\"\n"),
+                    5 => format!("VARS {other} input=\"{other}.in\"\n"),
+                    6 => format!("PRIORITY {other} {}\n", rng.gen_range(0u32..99)),
+                    7 if i > 0 => format!("PARENT {} CHILD {name}\n", names[i - 1]),
+                    _ => format!("SCRIPT PRE {other} pre.sh\n"),
+                };
+            }
+        }
+        (text, names)
+    }
+
+    /// Priorities for `names` in a seeded order, plus an entry for a job
+    /// the file does not declare (extra entries are ignored).
+    fn seeded_priorities(names: &[String], seed: u64) -> BTreeMap<String, u32> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut order: Vec<&str> = names.iter().map(String::as_str).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        order.push("not_in_the_file");
+        priorities_by_job(order)
+    }
+
+    #[test]
+    fn one_pass_insertion_matches_the_vec_insert_oracle() {
+        for seed in 0..300u64 {
+            let (text, names) = seeded_file(seed);
+            let file = parse_dagman(&text).unwrap();
+            for mode in [InstrumentMode::VarsMacro, InstrumentMode::PriorityStatement] {
+                let (mut fast, mut oracle) = (file.clone(), file.clone());
+                // A first pass, then a second with fresh priorities that
+                // updates the first pass's statements.
+                let passes = [
+                    seeded_priorities(&names, seed),
+                    seeded_priorities(&names, seed + 1_000),
+                ];
+                for (pass, p) in passes.iter().enumerate() {
+                    instrument_dagman_with(&mut fast, p, mode).unwrap();
+                    instrument_by_vec_insert(&mut oracle, p, mode).unwrap();
+                    assert_eq!(
+                        write_dagman(&fast),
+                        write_dagman(&oracle),
+                        "seed {seed}, {mode:?}, pass {pass}, input:\n{text}"
+                    );
+                    assert_eq!(fast, oracle, "seed {seed}, {mode:?}, pass {pass}");
+                }
+                let before = write_dagman(&fast);
+                instrument_dagman_with(&mut fast, &passes[1], mode).unwrap();
+                assert_eq!(write_dagman(&fast), before, "seed {seed}: not idempotent");
+            }
+        }
+    }
 
     const FIG3: &str = "\
 JOB a a.submit
@@ -207,11 +368,16 @@ PARENT c CHILD d e
     #[test]
     fn missing_priority_is_an_error() {
         let mut f = parse_dagman(FIG3).unwrap();
+        let before = f.clone();
         let partial = priorities_by_job(["a", "b"]);
         assert!(matches!(
             instrument_dagman(&mut f, &partial),
             Err(DagmanError::UnknownJob { .. })
         ));
+        assert_eq!(
+            f, before,
+            "a failed instrumentation leaves the file untouched"
+        );
     }
 
     #[test]

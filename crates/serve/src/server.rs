@@ -720,7 +720,13 @@ mod tests {
     fn warm_cache_is_byte_identical_and_flagged() {
         let line = crate::protocol::encode_request("r", "a\tb\nb\tc\n", None, None);
         let input = format!("{line}\n{line}\n");
-        let (lines, stats) = serve_text(&input, ServeConfig::default());
+        // One worker: the second request must start after the first has
+        // filled the cache (two workers may run both as misses at once).
+        let config = ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        };
+        let (lines, stats) = serve_text(&input, config);
         assert_eq!(lines.len(), 2);
         let a = prio_obs::json::parse(&lines[0]).unwrap();
         let b = prio_obs::json::parse(&lines[1]).unwrap();

@@ -22,6 +22,11 @@ run_cargo() {
 set -e
 run_cargo build --workspace --release
 run_cargo test --workspace -q
+# The benchmark helper (perfbench/) is its own package outside the
+# workspace and builds against the library crates' APIs; run its unit
+# tests so an API change that breaks it fails here, not at the next
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # The CLI's exit-code contract (0/1/2/70) is enforced by its integration
 # tests; run them by name so a workspace filter can't silently skip them.
 run_cargo test -p prio-cli --test cli -q

@@ -6,10 +6,13 @@
 //!
 //! This suite lives in its own integration-test binary (its own process
 //! under `cargo test`) because it asserts on deltas of process-global
-//! `serve.*` counters, which the other serve suites also bump.
+//! `serve.*` counters, which the other serve suites also bump. Within
+//! this binary the tests still run on parallel threads, so each one takes
+//! [`SERIAL`] first: a sibling's shed requests must never land inside
+//! another test's counter delta.
 
 use std::io::{Cursor, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use dagprio::obs::json::{parse, JsonValue};
@@ -28,6 +31,16 @@ impl Write for SharedBuf {
     }
 }
 
+/// Serializes the tests of this file. They all drive servers that bump
+/// the process-global `serve.queue.shed` counter.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`]; a test that panicked while holding it does not
+/// poison the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn u64_field(v: &JsonValue, key: &str) -> u64 {
     v.get(key)
         .and_then(JsonValue::as_u64)
@@ -36,6 +49,7 @@ fn u64_field(v: &JsonValue, key: &str) -> u64 {
 
 #[test]
 fn full_queue_sheds_and_the_shed_count_shows_everywhere() {
+    let _serial = serial();
     let shed_before = dagprio::obs::counter("serve.queue.shed").get();
 
     // Capacity 2 and a single deliberately slow worker: the reader
@@ -112,6 +126,7 @@ fn full_queue_sheds_and_the_shed_count_shows_everywhere() {
 /// a slow worker, `ping` and `stats` still answer immediately.
 #[test]
 fn control_verbs_answer_inline_while_the_queue_is_saturated() {
+    let _serial = serial();
     let config = ServeConfig {
         threads: 1,
         queue_capacity: 2,
