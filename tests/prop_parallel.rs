@@ -10,7 +10,8 @@
 
 use dagprio::core::decompose::{decompose_in, DecomposeOptions, Decomposition};
 use dagprio::core::prio::{PrioOptions, Prioritizer};
-use dagprio::dagman::{parse_dagman, parse_dagman_threads, parse_dagman_to_dag};
+use dagprio::dagman::scan::chunk_at_lines;
+use dagprio::dagman::{parse_dagman, parse_dagman_threads, parse_dagman_to_dag, DagmanError};
 use dagprio::graph::reduction::{shortcut_arcs_into, shortcut_arcs_par_into};
 use dagprio::graph::{Dag, GraphScratch, Label, NodeId, ScratchArena};
 use proptest::prelude::*;
@@ -267,4 +268,142 @@ fn parallel_decompose_bit_identical_at_scale() {
     let serial = decompose_in(&dag, opts, 0, &mut ScratchArena::new());
     let par = decompose_in(&dag, opts, 4, &mut ScratchArena::new());
     assert_decompositions_equal(&par, &serial);
+}
+
+/// A DAGMan file past `MIN_PARALLEL_PARSE_BYTES` (64 KiB): per job a `JOB`
+/// and a `VARS` line and a `PARENT … CHILD` chain link, a two-parent fan-in
+/// every 7 jobs and a comment plus a blank line every 10, so chunk
+/// boundaries fall among every statement kind.
+fn large_dagman_text() -> String {
+    let mut text = String::new();
+    for i in 0..3000usize {
+        text.push_str(&format!("JOB j{i:05} j{i:05}.sub\n"));
+        text.push_str(&format!("VARS j{i:05} jobpriority=\"{i}\"\n"));
+        if i % 10 == 0 {
+            text.push_str("# checkpoint\n\n");
+        }
+        if i > 0 {
+            text.push_str(&format!("PARENT j{:05} CHILD j{i:05}\n", i - 1));
+        }
+        if i >= 7 && i % 7 == 0 {
+            text.push_str(&format!(
+                "PARENT j{:05} j{:05} CHILD j{i:05}\n",
+                i - 7,
+                i - 3
+            ));
+        }
+    }
+    assert!(text.len() > 1 << 16, "must cross MIN_PARALLEL_PARSE_BYTES");
+    text
+}
+
+/// The 1-based number of the first `VARS` line at or after the middle of
+/// chunk `k` when `text` is split for `threads` workers.
+fn vars_line_in_chunk(text: &str, threads: usize, k: usize) -> usize {
+    let (range, start_line) = chunk_at_lines(text, threads)[k].clone();
+    let chunk = &text[range];
+    let lines: Vec<&str> = chunk.lines().collect();
+    let offset = (lines.len() / 2..lines.len())
+        .find(|&i| lines[i].starts_with("VARS "))
+        .expect("a VARS line in the chunk's second half");
+    start_line + offset
+}
+
+/// `text` with line `line` (1-based) replaced by `new`, padded with spaces
+/// to the old length so every chunk boundary stays where it was.
+fn replace_line(text: &str, line: usize, new: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for (i, old) in text.lines().enumerate() {
+        if i + 1 == line {
+            assert!(new.len() <= old.len(), "{new:?} longer than {old:?}");
+            out.push_str(&format!("{new:<width$}", width = old.len()));
+        } else {
+            out.push_str(old);
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Above `MIN_PARALLEL_PARSE_BYTES` the chunked AST parse and the direct
+/// path actually split the input, and still equal the serial parse: the
+/// whole statement list, not only the dag it reduces to.
+#[test]
+fn dagman_chunked_parse_matches_serial_above_threshold() {
+    let text = large_dagman_text();
+    let serial = parse_dagman(&text).unwrap();
+    for threads in [2, 3, 4] {
+        assert_eq!(chunk_at_lines(&text, threads).len(), threads);
+        let chunked = parse_dagman_threads(&text, threads).unwrap();
+        assert_eq!(chunked, serial, "threads={threads}");
+    }
+    let ast = serial.to_dag().unwrap();
+    for threads in [0, 1, 3] {
+        let direct = parse_dagman_to_dag(&text, threads).unwrap();
+        assert_eq!(direct, ast, "threads={threads}");
+    }
+}
+
+/// A malformed line in the first, a middle or the last chunk gives both
+/// chunked paths exactly the serial parser's error (variant and line),
+/// also when a second malformed line sits in a later chunk.
+#[test]
+fn dagman_chunked_parse_errors_match_serial_in_every_chunk() {
+    let text = large_dagman_text();
+    for threads in [2, 3, 4] {
+        let last = threads - 1;
+        for k in [0, threads / 2, last] {
+            let bad_line = vars_line_in_chunk(&text, threads, k);
+            let mut bad = replace_line(&text, bad_line, "JOB onlyname");
+            if k < last {
+                let later = vars_line_in_chunk(&text, threads, last);
+                bad = replace_line(&bad, later, "PRIORITY j00001 x");
+            }
+            assert_eq!(
+                chunk_at_lines(&bad, threads),
+                chunk_at_lines(&text, threads)
+            );
+            let serial = parse_dagman(&bad).unwrap_err();
+            assert!(
+                matches!(serial, DagmanError::Malformed { line, .. } if line == bad_line),
+                "{serial:?}"
+            );
+            let ctx = format!("threads={threads} chunk={k}");
+            assert_eq!(
+                parse_dagman_threads(&bad, threads).unwrap_err(),
+                serial,
+                "{ctx}"
+            );
+            assert_eq!(
+                parse_dagman_to_dag(&bad, threads).unwrap_err(),
+                serial,
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// A duplicate `JOB` whose two declarations sit in different chunks is
+/// reported exactly as the serial parse-then-`to_dag` path reports it.
+#[test]
+fn dagman_duplicate_job_across_chunks_matches_serial() {
+    let text = large_dagman_text();
+    for threads in [2, 3, 4] {
+        let line = vars_line_in_chunk(&text, threads, threads - 1);
+        let dup = replace_line(&text, line, "JOB j00002 dup.sub");
+        let serial = parse_dagman(&dup).unwrap();
+        let chunked = parse_dagman_threads(&dup, threads).unwrap();
+        assert_eq!(chunked, serial, "threads={threads}");
+        let expected = serial.to_dag().unwrap_err();
+        assert!(
+            matches!(&expected, DagmanError::DuplicateJob { job, .. } if job == "j00002"),
+            "{expected:?}"
+        );
+        assert_eq!(chunked.to_dag().unwrap_err(), expected, "threads={threads}");
+        assert_eq!(
+            parse_dagman_to_dag(&dup, threads).unwrap_err(),
+            expected,
+            "threads={threads}"
+        );
+    }
 }
