@@ -26,7 +26,7 @@
 use crate::component::{Component, ScheduleSource};
 use crate::prio::PARALLEL_WORK_THRESHOLD;
 use prio_graph::bipartite::is_bipartite_dag;
-use prio_graph::{Dag, Label, NodeId, ScratchArena, SubgraphMap, SubgraphScratch};
+use prio_graph::{par, Dag, Label, NodeId, ScratchArena, SubgraphMap, SubgraphScratch};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -163,7 +163,7 @@ pub fn decompose_in(
 
 /// A detached block before materialization: the node/removed sets the peel
 /// loop decided on, with the local dag still unbuilt.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PartSeed {
     nodes: Vec<NodeId>,
     removed: Vec<NodeId>,
@@ -376,46 +376,23 @@ fn peel(
 
 /// Builds each seed's local induced dag and bipartiteness flag — the
 /// per-part work the peel loop deferred. Independent across parts; runs on
-/// scoped worker threads over contiguous seed ranges when `threads > 1`
-/// and the total node count clears [`PARALLEL_WORK_THRESHOLD`]. Each
-/// worker writes a disjoint slice of the output, placed by part index, so
-/// the result is bit-identical for every thread count.
+/// worker threads ([`par::map_owned`]) when `threads > 1` and the total
+/// node count clears [`PARALLEL_WORK_THRESHOLD`]. Parts are placed by
+/// index, so the result is bit-identical for every thread count.
 fn materialize_parts(g: &Dag, seeds: Vec<PartSeed>, threads: usize) -> Vec<Part> {
     let _span = prio_obs::span("decompose.materialize");
-    let k = seeds.len();
     let work: usize = seeds.iter().map(|s| s.nodes.len()).sum();
-    let t = threads.min(k);
-    if t <= 1 || work < PARALLEL_WORK_THRESHOLD {
+    let parallel = threads.min(seeds.len()) > 1 && work >= PARALLEL_WORK_THRESHOLD;
+    let threads = if parallel {
+        prio_obs::counter("core.decompose.parallel_materialize").add(1);
+        threads
+    } else {
         prio_obs::counter("core.decompose.serial_materialize").add(1);
-        let mut scratch = SubgraphScratch::new();
-        return seeds
-            .into_iter()
-            .map(|s| materialize_one(g, s, &mut scratch))
-            .collect();
-    }
-    prio_obs::counter("core.decompose.parallel_materialize").add(1);
-    let mut seeds = seeds;
-    let mut out: Vec<Option<Part>> = (0..k).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut seeds_rest = seeds.as_mut_slice();
-        let mut out_rest = out.as_mut_slice();
-        for i in 0..t {
-            let (lo, hi) = (k * i / t, k * (i + 1) / t);
-            let (s_chunk, s_tail) = seeds_rest.split_at_mut(hi - lo);
-            let (o_chunk, o_tail) = out_rest.split_at_mut(hi - lo);
-            seeds_rest = s_tail;
-            out_rest = o_tail;
-            scope.spawn(move || {
-                let mut scratch = SubgraphScratch::new();
-                for (seed, slot) in s_chunk.iter_mut().zip(o_chunk.iter_mut()) {
-                    *slot = Some(materialize_one(g, std::mem::take(seed), &mut scratch));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|p| p.expect("every slot filled"))
-        .collect()
+        1
+    };
+    par::map_owned(seeds, threads, SubgraphScratch::new, |scratch, seed| {
+        materialize_one(g, seed, scratch)
+    })
 }
 
 /// Materializes one part: induces the local dag (stamped membership plus a

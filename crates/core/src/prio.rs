@@ -20,10 +20,9 @@ use crate::error::{PrioError, Stage};
 use crate::schedule::Schedule;
 use prio_graph::reduction::{remove_arcs, shortcut_arcs_par_into};
 use prio_graph::topo::{linear_extension_violation, ExtensionViolation};
-use prio_graph::{Dag, NodeId};
+use prio_graph::{par, Dag, NodeId};
 use prio_ir::{Priorities, Workflow};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Options for the PRIO pipeline. The defaults reproduce the paper's tool;
 /// the alternative settings exist for the §3.5 engineering ablations.
@@ -243,9 +242,9 @@ impl Prioritizer {
 
     /// Step 3: schedules every component of `reduced` and tallies the
     /// per-source statistics. With `opts.threads > 1` the independent
-    /// components are scheduled across scoped worker threads; results are
-    /// placed by component index, so the output is identical to the serial
-    /// path for every thread count.
+    /// components are scheduled on worker threads ([`par::map`]); results
+    /// are placed by component index, so the output is identical to the
+    /// serial path for every thread count.
     fn schedule_components(
         &self,
         reduced: &Dag,
@@ -273,14 +272,9 @@ impl Prioritizer {
                 prio_obs::counter("core.schedule.parallel_components").add(parts.len() as u64);
             }
         }
-        let results: Vec<ScheduledPart> = if workers > 1 {
-            schedule_parts_parallel(reduced, &parts, limit, workers)
-        } else {
-            parts
-                .iter()
-                .map(|part| schedule_part(reduced, part, limit))
-                .collect()
-        };
+        let results = par::map(parts.len(), workers, |i| {
+            schedule_part(reduced, &parts[i], limit)
+        });
 
         let mut components: Vec<Component> = Vec::with_capacity(parts.len());
         for (i, (part, (order, source, profile))) in parts.into_iter().zip(results).enumerate() {
@@ -299,64 +293,6 @@ impl Prioritizer {
         }
         components
     }
-}
-
-/// One scheduled component before it is wrapped into a [`Component`]:
-/// the order over original node ids, how it was obtained, and its
-/// eligibility profile.
-type ScheduledPart = (Vec<NodeId>, ScheduleSource, Vec<usize>);
-
-/// Schedules `parts` across `workers` scoped threads pulling component
-/// indices from a shared channel. Each result is placed back at its
-/// component's index, so the returned vector is independent of thread
-/// count, scheduling order and channel timing.
-fn schedule_parts_parallel(
-    reduced: &Dag,
-    parts: &[Part],
-    limit: usize,
-    workers: usize,
-) -> Vec<ScheduledPart> {
-    let n = parts.len();
-    let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-    for i in 0..n {
-        let _ = tx.send(i);
-    }
-    drop(tx);
-
-    let collected: Mutex<Vec<(usize, ScheduledPart)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let collected = &collected;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                while let Ok(i) = rx.recv() {
-                    local.push((i, schedule_part(reduced, &parts[i], limit)));
-                }
-                let mut sink = collected
-                    .lock()
-                    .unwrap_or_else(|poison| poison.into_inner());
-                sink.extend(local);
-            });
-        }
-    });
-
-    // Every index was sent exactly once and every worker drained its
-    // receipts into `collected`, so each slot is written exactly once.
-    // Slots are pre-filled with trivial placeholders rather than unwrapped
-    // options; a (impossible) miss would surface as an emit-stage
-    // invariant error, not a panic.
-    let mut results: Vec<ScheduledPart> =
-        std::iter::repeat_with(|| (Vec::new(), ScheduleSource::Trivial, Vec::new()))
-            .take(n)
-            .collect();
-    for (i, result) in collected
-        .into_inner()
-        .unwrap_or_else(|poison| poison.into_inner())
-    {
-        results[i] = result;
-    }
-    results
 }
 
 /// Validates the emitted global order and wraps it into a [`Schedule`].

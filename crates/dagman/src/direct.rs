@@ -8,7 +8,8 @@
 //! itself. [`parse_dagman_to_dag`] instead scans each line *leanly*:
 //! name tokens stay `&str` borrows into the input text until the single
 //! final copy into the dag's label table, statement validation runs
-//! allocation-free, and the per-chunk scans run on scoped worker threads.
+//! allocation-free, and the per-chunk scans run on worker threads
+//! ([`prio_graph::par`]).
 //!
 //! **Error parity is a hard contract**: for every input and thread count,
 //! this path returns exactly the error (variant, line, job, message) that
@@ -22,7 +23,7 @@
 use crate::error::DagmanError;
 use crate::parse::{find_after_token, malformed, parse_vars_pairs_into, MIN_PARALLEL_PARSE_BYTES};
 use crate::scan;
-use prio_graph::{Dag, GraphError, Label, NameHashBuild, NodeId};
+use prio_graph::{par, Dag, GraphError, Label, NameHashBuild, NodeId};
 use std::collections::HashMap;
 
 /// Borrowed per-chunk scan output: declaration and arc-statement name
@@ -40,8 +41,8 @@ struct ChunkEvents<'a> {
 }
 
 /// Parses DAGMan text straight into the dependency [`Dag`], skipping the
-/// AST; sharded across up to `threads` scoped worker threads (`0`/`1` =
-/// serial). Equivalent to
+/// AST; sharded across up to `threads` worker threads (`0`/`1` = one
+/// chunk on the caller's thread). Equivalent to
 /// `parse_dagman(text).and_then(|f| f.to_dag())` — same dag, same errors —
 /// at a fraction of the memory and time. Labels are in declaration order,
 /// exactly as the AST path's [`crate::DagmanFile::job_names`] would list
@@ -59,32 +60,12 @@ pub fn parse_dagman_to_dag(text: &str, threads: usize) -> Result<Dag, DagmanErro
     // Phase 1: lean-scan every line. Workers stop at their first malformed
     // line; the lowest chunk's error has the lowest line number, which is
     // exactly the serial parser's first error.
-    let events: Vec<ChunkEvents<'_>> = if chunks.len() <= 1 {
-        match chunks.first() {
-            Some((range, start_line)) => vec![scan_chunk(&text[range.clone()], *start_line)?],
-            None => Vec::new(),
-        }
-    } else {
-        let mut results: Vec<Option<Result<ChunkEvents<'_>, DagmanError>>> =
-            (0..chunks.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut rest = results.as_mut_slice();
-            for (range, start_line) in &chunks {
-                let (slot, tail) = rest.split_first_mut().expect("one slot per chunk");
-                rest = tail;
-                let chunk = &text[range.clone()];
-                let start_line = *start_line;
-                scope.spawn(move || {
-                    *slot = Some(scan_chunk(chunk, start_line));
-                });
-            }
-        });
-        let mut events = Vec::with_capacity(results.len());
-        for r in results {
-            events.push(r.expect("every chunk scanned")?);
-        }
-        events
-    };
+    let events: Vec<ChunkEvents<'_>> = par::map(chunks.len(), t, |i| {
+        let (range, start_line) = &chunks[i];
+        scan_chunk(&text[range.clone()], *start_line)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
 
     // Phase 2 (serial): the declaration table. First duplicate in
     // declaration order wins, matching the AST path's decl pass. The one
@@ -110,31 +91,11 @@ pub fn parse_dagman_to_dag(text: &str, threads: usize) -> Result<Dag, DagmanErro
     // lookups and self-loop checks run in statement × parent × child
     // product order within each chunk, and chunk order is statement order,
     // so the first error across chunks is the AST path's first error.
-    let arcs: Vec<(NodeId, NodeId)> = if events.len() <= 1 {
-        match events.into_iter().next() {
-            Some(ev) => resolve_arcs(&ev, &ids)?,
-            None => Vec::new(),
-        }
-    } else {
-        type ChunkArcs = Result<Vec<(NodeId, NodeId)>, DagmanError>;
-        let mut results: Vec<Option<ChunkArcs>> = (0..events.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let ids = &ids;
-            let mut rest = results.as_mut_slice();
-            for ev in &events {
-                let (slot, tail) = rest.split_first_mut().expect("one slot per chunk");
-                rest = tail;
-                scope.spawn(move || {
-                    *slot = Some(resolve_arcs(ev, ids));
-                });
-            }
-        });
-        let mut arcs = Vec::new();
-        for r in results {
-            arcs.extend(r.expect("every chunk resolved")?);
-        }
-        arcs
-    };
+    let arcs = par::concat(
+        par::map(events.len(), t, |i| resolve_arcs(&events[i], &ids))
+            .into_iter()
+            .collect::<Result<_, _>>()?,
+    );
     drop(ids);
 
     // Phase 4: assemble the CSR dag (sort, dedup, parallel build, Kahn

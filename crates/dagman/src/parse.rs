@@ -7,6 +7,7 @@
 use crate::ast::{DagmanFile, Statement};
 use crate::error::DagmanError;
 use crate::scan;
+use prio_graph::par;
 // Shared with every other frontend: each distinct name token is allocated
 // once and every later occurrence clones the shared `JobName`. On large
 // .dag files nearly every name token is a repeat (its `JOB` line plus one
@@ -20,21 +21,11 @@ pub(crate) const MIN_PARALLEL_PARSE_BYTES: usize = 1 << 16;
 
 /// Parses the text of a DAGMan input file.
 pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {
-    let _span = prio_obs::span(prio_obs::stage::PARSE);
-    prio_obs::counter("dagman.parse.serial_parses").add(1);
-    // One O(bytes) SWAR scan to pre-size the statement vector beats
-    // letting a multi-megabyte Vec regrow-and-copy its way up.
-    let mut statements = Vec::with_capacity(scan::count_lines(text));
-    let mut names = NameInterner::default();
-    for (i, raw) in scan::lines(text).enumerate() {
-        let line = i + 1;
-        statements.push(parse_line(raw, line, &mut names)?);
-    }
-    Ok(DagmanFile { statements })
+    parse_dagman_threads(text, 1)
 }
 
-/// [`parse_dagman`] with the input sharded across up to `threads` scoped
-/// worker threads (`0`/`1` = the serial path).
+/// [`parse_dagman`] with the input sharded across up to `threads` worker
+/// threads ([`par::map`]; `0`/`1` = one chunk on the caller's thread).
 ///
 /// The input is split at statement (line) boundaries into near-even byte
 /// chunks, each parsed independently with the starting line number the
@@ -44,43 +35,34 @@ pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {
 /// serial parser's error — wins. Results are bit-identical to
 /// [`parse_dagman`] for every thread count.
 pub fn parse_dagman_threads(text: &str, threads: usize) -> Result<DagmanFile, DagmanError> {
-    if threads <= 1 || text.len() < MIN_PARALLEL_PARSE_BYTES {
-        return parse_dagman(text);
-    }
     let _span = prio_obs::span(prio_obs::stage::PARSE);
-    let chunks = scan::chunk_at_lines(text, threads);
-    prio_obs::counter("dagman.parse.parallel_chunks").add(chunks.len() as u64);
-    let mut results: Vec<Option<Result<Vec<Statement>, DagmanError>>> =
-        (0..chunks.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut rest = results.as_mut_slice();
-        for (range, start_line) in &chunks {
-            let (slot, tail) = rest.split_first_mut().expect("one slot per chunk");
-            rest = tail;
-            let chunk = &text[range.clone()];
-            let start_line = *start_line;
-            scope.spawn(move || {
-                let mut names = NameInterner::default();
-                let mut statements = Vec::with_capacity(scan::count_lines(chunk));
-                let mut out = Ok(());
-                for (i, raw) in scan::lines(chunk).enumerate() {
-                    match parse_line(raw, start_line + i, &mut names) {
-                        Ok(s) => statements.push(s),
-                        Err(e) => {
-                            out = Err(e);
-                            break;
-                        }
-                    }
-                }
-                *slot = Some(out.map(|()| statements));
-            });
-        }
+    let chunks = if threads <= 1 || text.len() < MIN_PARALLEL_PARSE_BYTES {
+        prio_obs::counter("dagman.parse.serial_parses").add(1);
+        vec![(0..text.len(), 1)]
+    } else {
+        let chunks = scan::chunk_at_lines(text, threads);
+        prio_obs::counter("dagman.parse.parallel_chunks").add(chunks.len() as u64);
+        chunks
+    };
+    let parsed = par::map(chunks.len(), threads, |i| {
+        let (range, start_line) = &chunks[i];
+        parse_chunk(&text[range.clone()], *start_line)
     });
-    let mut statements = Vec::with_capacity(scan::count_lines(text));
-    for r in results {
-        statements.extend(r.expect("every chunk parsed")?);
-    }
+    let statements = par::concat(parsed.into_iter().collect::<Result<_, _>>()?);
     Ok(DagmanFile { statements })
+}
+
+/// Parses one chunk of whole lines whose first line is `start_line`,
+/// stopping at the first bad line.
+fn parse_chunk(chunk: &str, start_line: usize) -> Result<Vec<Statement>, DagmanError> {
+    // One O(bytes) SWAR scan to pre-size the statement vector beats
+    // letting a multi-megabyte Vec regrow-and-copy its way up.
+    let mut statements = Vec::with_capacity(scan::count_lines(chunk));
+    let mut names = NameInterner::default();
+    for (i, raw) in scan::lines(chunk).enumerate() {
+        statements.push(parse_line(raw, start_line + i, &mut names)?);
+    }
+    Ok(statements)
 }
 
 fn parse_line(raw: &str, line: usize, names: &mut NameInterner) -> Result<Statement, DagmanError> {

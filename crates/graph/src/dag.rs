@@ -15,6 +15,7 @@
 
 use crate::error::GraphError;
 use crate::labelhash::NameHashBuild;
+use crate::par;
 use crate::scratch::SubgraphScratch;
 use std::collections::HashMap;
 use std::fmt;
@@ -120,8 +121,9 @@ impl Dag {
         }
     }
 
-    /// [`Dag::from_sorted_unique_arcs`] built across `threads` scoped
-    /// worker threads; bit-identical to the serial build.
+    /// [`Dag::from_sorted_unique_arcs`] built across `threads` worker
+    /// threads ([`par::for_each_chunk_mut`]); bit-identical to the serial
+    /// build.
     ///
     /// * `child_off` — each thread owns a contiguous source-node range and
     ///   counts its arcs by scanning the matching arc subrange (found by
@@ -129,11 +131,14 @@ impl Dag {
     ///   merges the ranges.
     /// * `child_adj` — the sorted arc targets *are* the child array, so
     ///   each thread copies a disjoint arc chunk.
-    /// * `parent_off`/`parent_adj` — per-thread counting passes over
-    ///   contiguous arc chunks, merged by prefix sum into per-`(thread, v)`
-    ///   write cursors: earlier chunks get earlier slots and chunks scan in
-    ///   lexicographic order, so every parent list comes out sorted by
-    ///   source exactly as in the serial transpose fill.
+    /// * `parent_off`/`parent_adj` — sharded by *target* range: each
+    ///   thread owns the nodes `v` in a contiguous range and therefore a
+    ///   disjoint, contiguous slice of the transpose arrays. A thread scans
+    ///   the whole arc list but touches only its own targets; scanning in
+    ///   lexicographic order makes every parent list come out sorted by
+    ///   source exactly as in the serial fill. Total reads are
+    ///   `threads × m` but the passes run concurrently, so the wall time is
+    ///   one scan plus the serial prefix sum.
     fn from_sorted_unique_arcs_par(
         labels: Vec<Label>,
         arcs: &[(NodeId, NodeId)],
@@ -150,124 +155,63 @@ impl Dag {
         );
         prio_obs::counter("graph.build.parallel_builds").add(1);
         let t = threads.min(m);
-        // Contiguous arc chunks, one per thread.
-        let chunk_bounds: Vec<(usize, usize)> =
-            (0..t).map(|i| (m * i / t, m * (i + 1) / t)).collect();
+        // Contiguous arc chunks and node ranges, one per thread.
+        let arc_bounds: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
+        let node_bounds: Vec<usize> = (0..=t).map(|i| n * i / t).collect();
 
-        // child_off: per-source-range counting in parallel.
         let mut child_off = vec![0u32; n + 1];
-        {
-            let node_ranges: Vec<(usize, usize)> =
-                (0..t).map(|i| (n * i / t, n * (i + 1) / t)).collect();
-            let mut slices: Vec<&mut [u32]> = Vec::with_capacity(t);
-            let mut rest = &mut child_off[1..];
-            for &(lo, hi) in &node_ranges {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                slices.push(head);
-                rest = tail;
+        par::for_each_chunk_mut(&mut child_off[1..], &node_bounds, t, |i, counts| {
+            let (lo, hi) = (node_bounds[i], node_bounds[i + 1]);
+            let start = arcs.partition_point(|&(u, _)| u.index() < lo);
+            let end = arcs.partition_point(|&(u, _)| u.index() < hi);
+            for &(u, _) in &arcs[start..end] {
+                counts[u.index() - lo] += 1;
             }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&node_ranges) {
-                    scope.spawn(move || {
-                        let start = arcs.partition_point(|&(u, _)| u.index() < lo);
-                        let end = arcs.partition_point(|&(u, _)| u.index() < hi);
-                        for &(u, _) in &arcs[start..end] {
-                            slice[u.index() - lo] += 1;
-                        }
-                    });
-                }
-            });
-        }
+        });
         for i in 0..n {
             child_off[i + 1] += child_off[i];
         }
 
-        // child_adj: disjoint chunk copies.
         let mut child_adj: Vec<NodeId> = vec![NodeId(0); m];
-        {
-            let mut slices: Vec<&mut [NodeId]> = Vec::with_capacity(t);
-            let mut rest = child_adj.as_mut_slice();
-            for &(lo, hi) in &chunk_bounds {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                slices.push(head);
-                rest = tail;
+        par::for_each_chunk_mut(&mut child_adj, &arc_bounds, t, |i, out| {
+            let chunk = &arcs[arc_bounds[i]..arc_bounds[i + 1]];
+            for (dst, &(_, v)) in out.iter_mut().zip(chunk) {
+                *dst = v;
             }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&chunk_bounds) {
-                    scope.spawn(move || {
-                        for (dst, &(_, v)) in slice.iter_mut().zip(&arcs[lo..hi]) {
-                            *dst = v;
-                        }
-                    });
-                }
-            });
-        }
+        });
 
-        // parent side, sharded by *target* range: each thread owns the
-        // nodes `v` in a contiguous range and therefore a disjoint,
-        // contiguous slice of the transpose arrays (`split_at_mut`, no
-        // locks). A thread scans the whole arc list but touches only its
-        // own targets; scanning in lexicographic order makes every parent
-        // list come out sorted by source exactly as in the serial fill.
-        // Total reads are `threads × m` but the passes run concurrently,
-        // so the wall time is one scan plus the serial prefix sum.
-        let node_ranges: Vec<(usize, usize)> =
-            (0..t).map(|i| (n * i / t, n * (i + 1) / t)).collect();
         let mut parent_cnt = vec![0u32; n];
-        {
-            let mut slices: Vec<&mut [u32]> = Vec::with_capacity(t);
-            let mut rest = parent_cnt.as_mut_slice();
-            for &(lo, hi) in &node_ranges {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                slices.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&node_ranges) {
-                    scope.spawn(move || {
-                        for &(_, v) in arcs {
-                            let vi = v.index();
-                            if vi >= lo && vi < hi {
-                                slice[vi - lo] += 1;
-                            }
-                        }
-                    });
+        par::for_each_chunk_mut(&mut parent_cnt, &node_bounds, t, |i, counts| {
+            let (lo, hi) = (node_bounds[i], node_bounds[i + 1]);
+            for &(_, v) in arcs {
+                let vi = v.index();
+                if vi >= lo && vi < hi {
+                    counts[vi - lo] += 1;
                 }
-            });
-        }
+            }
+        });
         let mut parent_off = vec![0u32; n + 1];
         for v in 0..n {
             parent_off[v + 1] = parent_off[v] + parent_cnt[v];
         }
         let mut parent_adj: Vec<NodeId> = vec![NodeId(0); m];
-        {
-            let mut slices: Vec<&mut [NodeId]> = Vec::with_capacity(t);
-            let mut rest = parent_adj.as_mut_slice();
-            for &(lo, hi) in &node_ranges {
-                let start = parent_off[lo] as usize;
-                let end = parent_off[hi] as usize;
-                let (head, tail) = rest.split_at_mut(end - start);
-                slices.push(head);
-                rest = tail;
-            }
-            std::thread::scope(|scope| {
-                for (slice, &(lo, hi)) in slices.into_iter().zip(&node_ranges) {
-                    let base = parent_off[lo];
-                    let off = &parent_off;
-                    scope.spawn(move || {
-                        let mut cursor: Vec<u32> = off[lo..hi].iter().map(|&o| o - base).collect();
-                        for &(u, v) in arcs {
-                            let vi = v.index();
-                            if vi >= lo && vi < hi {
-                                let slot = &mut cursor[vi - lo];
-                                slice[*slot as usize] = u;
-                                *slot += 1;
-                            }
-                        }
-                    });
+        let adj_bounds: Vec<usize> = node_bounds
+            .iter()
+            .map(|&v| parent_off[v] as usize)
+            .collect();
+        par::for_each_chunk_mut(&mut parent_adj, &adj_bounds, t, |i, out| {
+            let (lo, hi) = (node_bounds[i], node_bounds[i + 1]);
+            let base = parent_off[lo];
+            let mut cursor: Vec<u32> = parent_off[lo..hi].iter().map(|&o| o - base).collect();
+            for &(u, v) in arcs {
+                let vi = v.index();
+                if vi >= lo && vi < hi {
+                    let slot = &mut cursor[vi - lo];
+                    out[*slot as usize] = u;
+                    *slot += 1;
                 }
-            });
-        }
+            }
+        });
 
         Dag {
             labels,
@@ -755,17 +699,10 @@ impl DagBuilder {
 
     /// Finalizes the graph, verifying acyclicity.
     pub fn build(self) -> Result<Dag, GraphError> {
-        self.build_with_threads(0)
-    }
-
-    /// [`DagBuilder::build`] with the sort/dedup and CSR fill spread over
-    /// `threads` scoped worker threads (`0`/`1` = serial). Bit-identical
-    /// to the serial build for every thread count.
-    pub fn build_with_threads(self, threads: usize) -> Result<Dag, GraphError> {
         let mut arcs = self.arcs;
-        par_sort_arcs(&mut arcs, threads);
+        arcs.sort_unstable();
         arcs.dedup();
-        let dag = Dag::from_sorted_unique_arcs_par(self.labels, &arcs, threads);
+        let dag = Dag::from_sorted_unique_arcs(self.labels, &arcs);
         kahn_acyclicity_check(&dag)?;
         Ok(dag)
     }
@@ -783,64 +720,34 @@ fn par_sort_arcs(arcs: &mut Vec<(NodeId, NodeId)>, threads: usize) {
     }
     let t = threads.min(m);
     let mut bounds: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
-    {
-        let mut slices: Vec<&mut [(NodeId, NodeId)]> = Vec::with_capacity(t);
-        let mut rest = arcs.as_mut_slice();
-        for w in bounds.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            slices.push(head);
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            for slice in slices {
-                scope.spawn(|| slice.sort_unstable());
-            }
-        });
-    }
-    // Pairwise merge rounds between two buffers; each merge owns a
-    // disjoint contiguous output range, so merges of one round run
-    // concurrently.
+    par::for_each_chunk_mut(arcs, &bounds, t, |_, chunk| chunk.sort_unstable());
+    // Pairwise merge rounds between two buffers: merge `j` of a round
+    // writes the output range of sorted runs `2j` and `2j + 1` (an odd
+    // last run is copied through), so a round's merges run concurrently.
     let mut src = std::mem::take(arcs);
     let mut dst = vec![(NodeId(0), NodeId(0)); m];
     while bounds.len() > 2 {
-        {
-            let mut out_rest = dst.as_mut_slice();
-            let mut taken = 0usize;
-            std::thread::scope(|scope| {
-                let mut i = 0;
-                while i + 1 < bounds.len() {
-                    let lo = bounds[i];
-                    let mid = bounds[i + 1];
-                    let hi = *bounds.get(i + 2).unwrap_or(&mid);
-                    let (out, tail) = out_rest.split_at_mut(hi - lo);
-                    out_rest = tail;
-                    taken += hi - lo;
-                    let (a, b) = (&src[lo..mid], &src[mid..hi]);
-                    scope.spawn(move || {
-                        let (mut x, mut y) = (0usize, 0usize);
-                        for slot in out.iter_mut() {
-                            *slot = if y >= b.len() || (x < a.len() && a[x] <= b[y]) {
-                                x += 1;
-                                a[x - 1]
-                            } else {
-                                y += 1;
-                                b[y - 1]
-                            };
-                        }
-                    });
-                    i += 2;
-                }
-            });
-            debug_assert_eq!(taken, m);
-        }
-        std::mem::swap(&mut src, &mut dst);
         // Keep every other boundary (merged pairs), always keeping the end.
-        let end = *bounds.last().expect("non-empty bounds");
-        let mut kept: Vec<usize> = bounds.iter().copied().step_by(2).collect();
-        if *kept.last().expect("non-empty") != end {
-            kept.push(end);
+        let mut merged: Vec<usize> = bounds.iter().copied().step_by(2).collect();
+        if merged.last() != bounds.last() {
+            merged.push(m);
         }
-        bounds = kept;
+        par::for_each_chunk_mut(&mut dst, &merged, t, |j, out| {
+            let (lo, mid, hi) = (merged[j], bounds[2 * j + 1], merged[j + 1]);
+            let (a, b) = (&src[lo..mid], &src[mid..hi]);
+            let (mut x, mut y) = (0usize, 0usize);
+            for slot in out.iter_mut() {
+                *slot = if y >= b.len() || (x < a.len() && a[x] <= b[y]) {
+                    x += 1;
+                    a[x - 1]
+                } else {
+                    y += 1;
+                    b[y - 1]
+                };
+            }
+        });
+        std::mem::swap(&mut src, &mut dst);
+        bounds = merged;
     }
     *arcs = src;
 }

@@ -15,7 +15,9 @@
 //!   Divide phase ([`reduction`]);
 //! * bipartite-dag and connectivity analysis used by the decomposition —
 //!   Step 2 of the Divide phase ([`bipartite`]);
-//! * Graphviz DOT export used to reproduce the paper's Fig. 5 ([`dot`]).
+//! * Graphviz DOT export used to reproduce the paper's Fig. 5 ([`dot`]);
+//! * the placement-by-index parallel helpers every threaded stage of the
+//!   workspace runs on ([`par`]).
 //!
 //! The crate is dependency-free and deterministic: iteration orders are a
 //! function of node indices only, never of hash-map order.
@@ -46,6 +48,7 @@ pub mod dag;
 pub mod dot;
 pub mod error;
 pub mod labelhash;
+pub mod par;
 pub mod reach;
 pub mod reduction;
 pub mod scratch;

@@ -20,6 +20,7 @@
 //!   implementation in tests.
 
 use crate::dag::{Dag, NodeId};
+use crate::par;
 use crate::reach::transitive_closure;
 use crate::scratch::GraphScratch;
 use crate::topo::topo_ranks_into;
@@ -72,10 +73,10 @@ pub fn shortcut_arcs_into(dag: &Dag, scratch: &mut GraphScratch, out: &mut Vec<(
 }
 
 /// [`shortcut_arcs_into`] with the per-source scans sharded across
-/// `threads` scoped worker threads (`0`/`1` = the serial path).
+/// `threads` worker threads ([`par::map`]; `0`/`1` = the serial path).
 ///
-/// The rank table is computed once up front; each worker then owns a
-/// contiguous source-node range with its own stamped-mark table and
+/// The rank table is computed once up front; each shard is a contiguous
+/// source-node range scanned with its own stamped-mark table and
 /// worklists. Shortcut detection at one source never reads another
 /// source's state, and the output is sorted at the end either way, so the
 /// result is bit-identical to the serial scan for every thread count.
@@ -96,40 +97,30 @@ pub fn shortcut_arcs_par_into(
     topo_ranks_into(dag, scratch, &mut rank);
     prio_obs::counter("graph.reduce.parallel_shards").add(t as u64);
 
-    let rank_ref = &rank;
-    let mut shards: Vec<Vec<(NodeId, NodeId)>> = Vec::with_capacity(t);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(t);
-        for i in 0..t {
-            let (lo, hi) = (n * i / t, n * (i + 1) / t);
-            handles.push(scope.spawn(move || {
-                let mut mark = vec![0u32; n];
-                let mut stamp = 0u32;
-                let mut stack = Vec::new();
-                let mut by_rank = Vec::new();
-                let mut local = Vec::new();
-                for u in (lo as u32..hi as u32).map(NodeId) {
-                    if dag.out_degree(u) < 2 {
-                        continue;
-                    }
-                    stamp += 1;
-                    scan_source(
-                        dag,
-                        rank_ref,
-                        u,
-                        &mut mark,
-                        stamp,
-                        &mut stack,
-                        &mut by_rank,
-                        &mut local,
-                    );
-                }
-                local
-            }));
+    let shards = par::map(t, t, |i| {
+        let (lo, hi) = (n * i / t, n * (i + 1) / t);
+        let mut mark = vec![0u32; n];
+        let mut stamp = 0u32;
+        let mut stack = Vec::new();
+        let mut by_rank = Vec::new();
+        let mut local = Vec::new();
+        for u in (lo as u32..hi as u32).map(NodeId) {
+            if dag.out_degree(u) < 2 {
+                continue;
+            }
+            stamp += 1;
+            scan_source(
+                dag,
+                &rank,
+                u,
+                &mut mark,
+                stamp,
+                &mut stack,
+                &mut by_rank,
+                &mut local,
+            );
         }
-        for h in handles {
-            shards.push(h.join().expect("shortcut scan worker"));
-        }
+        local
     });
     for shard in shards {
         out.extend(shard);

@@ -3,16 +3,16 @@
 //!
 //! A *sample* is the average of `q` independent simulated measurements;
 //! `p` samples form the empirical sampling distribution of each metric.
-//! Replications are embarrassingly parallel: a crossbeam work queue feeds
-//! run indices to worker threads, and every run's seed is derived
-//! deterministically from the plan's master seed and the run index, so the
-//! result is bit-identical regardless of thread count.
+//! Replications are embarrassingly parallel: worker threads claim run
+//! indices through [`prio_graph::par::map`], and every run's seed is
+//! derived deterministically from the plan's master seed and the run
+//! index, so the result is bit-identical regardless of thread count.
 
 use crate::engine::{simulate, simulate_faulty};
 use crate::fault::FaultConfig;
 use crate::model::GridModel;
 use crate::policy::PolicySpec;
-use prio_graph::Dag;
+use prio_graph::{par, Dag};
 use prio_stats::rng::derive_seed;
 use prio_stats::SamplingDistribution;
 
@@ -104,38 +104,9 @@ pub fn sampling_distributions_with(
         plan.p > 0 && plan.q > 0,
         "plan must run at least one simulation"
     );
-    let total = plan.p * plan.q;
-    let mut measurements: Vec<[f64; 5]> = vec![[0.0; 5]; total];
-
-    let threads = plan.effective_threads().min(total);
-    if threads <= 1 {
-        for (i, slot) in measurements.iter_mut().enumerate() {
-            *slot = run_one(dag, policy, model, faults, plan.seed, i);
-        }
-    } else {
-        let (tx, rx) = crossbeam::channel::unbounded::<usize>();
-        for i in 0..total {
-            tx.send(i).expect("queue open");
-        }
-        drop(tx);
-        let chunks = std::sync::Mutex::new(Vec::<(usize, [f64; 5])>::with_capacity(total));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let rx = rx.clone();
-                let chunks = &chunks;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Ok(i) = rx.recv() {
-                        local.push((i, run_one(dag, policy, model, faults, plan.seed, i)));
-                    }
-                    chunks.lock().expect("collector lock").extend(local);
-                });
-            }
-        });
-        for (i, m) in chunks.into_inner().expect("collector lock") {
-            measurements[i] = m;
-        }
-    }
+    let measurements = par::map(plan.p * plan.q, plan.effective_threads(), |i| {
+        run_one(dag, policy, model, faults, plan.seed, i)
+    });
 
     let column = |k: usize| -> Vec<f64> { measurements.iter().map(|m| m[k]).collect() };
     MetricDistributions {

@@ -143,6 +143,27 @@ cmp target/format-matrix/priorities.dagman.tsv target/format-matrix/priorities.j
 cmp target/format-matrix/priorities.dagman.tsv target/format-matrix/priorities.edges.tsv \
   || { echo "check.sh: dagman/edges priorities diverged" >&2; exit 1; }
 echo "check.sh: format matrix ok (9 conversions, 3 prioritized formats agree)"
+# Threaded pipeline smoke: instrument full-scale Montage (7,881 jobs,
+# ~730 KB, past every parallel threshold) with the default threads and
+# with --threads 4. The two outputs must be byte-identical, and the trace
+# must show the parse, reduction and Step 3 ran threaded, so the smoke
+# cannot pass by falling back to serial. Artifacts land in
+# target/par-smoke (uploaded by CI).
+mkdir -p target/par-smoke
+./target/release/prio generate montage --output target/par-smoke/montage.dag
+./target/release/prio instrument target/par-smoke/montage.dag \
+  --output target/par-smoke/default.dag 2> target/par-smoke/default.stderr
+./target/release/prio instrument target/par-smoke/montage.dag --threads 4 \
+  --output target/par-smoke/threads4.dag \
+  --trace-out target/par-smoke/threads4.jsonl 2> target/par-smoke/threads4.stderr
+cmp target/par-smoke/default.dag target/par-smoke/threads4.dag \
+  || { echo "check.sh: par smoke: --threads 4 output diverged from the default" >&2; exit 1; }
+for counter in dagman.parse.parallel_chunks graph.reduce.parallel_shards \
+  core.schedule.parallel_dags; do
+  grep -q "\"name\":\"$counter\",\"value\":[1-9]" target/par-smoke/threads4.jsonl \
+    || { echo "check.sh: par smoke: $counter is zero; the threaded path did not run" >&2; exit 1; }
+done
+echo "check.sh: threaded pipeline smoke ok (--threads 4 identical, threaded stages ran)"
 # Serve daemon smoke: start `prio serve` on an ephemeral port, drive one
 # prioritize request per frontend format plus the stats verb through
 # bash's /dev/tcp, and shut down gracefully with the shutdown verb. The
