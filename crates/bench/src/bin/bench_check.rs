@@ -26,7 +26,7 @@
 //!   fresh/baseline, for scaling rows where both runs measured a peak
 //!   (default 1.5: allocator peaks are near-deterministic, so the
 //!   committed peaks act as hard memory budgets for the big tiers — a
-//!   10⁸-job parse that balloons past its budget fails even if it got
+//!   10⁷-job parse that balloons past its budget fails even if it got
 //!   faster)
 //! * `--obs-fresh FILE` — additionally gate a `bench_obs` run: per row
 //!   the traced (and sampled) wall time must stay within `--obs-budget`

@@ -1,6 +1,7 @@
 //! Measures pipeline + simulator wall time and peak allocator bytes at
-//! the 10³–10⁷-job tiers, DAGMan parse + CSR build at 10⁷/10⁸, and
-//! writes `BENCH_scaling.json`.
+//! the 10³–10⁷-job tiers, DAGMan parse + CSR build at 10⁷ (through
+//! `parse_dagman_threads` and `to_dag`, the path `prio instrument` runs),
+//! and writes `BENCH_scaling.json`.
 //!
 //! ```text
 //! bench_scaling [--max-jobs N] [--threads N] [--parse-only] [--out FILE]

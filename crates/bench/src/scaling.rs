@@ -1,15 +1,16 @@
 //! Scaling measurement: pipeline and simulator wall time plus peak
 //! allocator bytes at the 10³–10⁷ job tiers — and DAGMan parse + CSR
-//! build at 10⁷/10⁸ — behind the `bench_scaling` binary and the
+//! build at 10⁷ — behind the `bench_scaling` binary and the
 //! `bench_check --scaling-fresh` regression guard.
 //!
 //! Two dag families per pipeline tier: a Montage-like dag (the paper's
 //! structure, scaled to the tier's job count) and a layered random dag
 //! (fixed layer width, ~4 children per job) whose single giant component
 //! stresses the CSR adjacency directly rather than the decomposition.
-//! The parse tiers measure the front door instead: a deterministic
-//! generated DAGMan file pushed through [`parse_dagman_to_dag`] (no AST,
-//! no interning — the only front half that fits 10⁸ jobs in memory).
+//! The parse tier measures the front door instead: a deterministic
+//! generated DAGMan file pushed through [`parse_dagman_threads`] and
+//! [`DagmanFile::to_dag`](prio_dagman::DagmanFile::to_dag), the path
+//! `prio instrument`, `prio batch` and the facade run with `--threads`.
 //! Rows serialize to `BENCH_scaling.json` with a fixed key order, and
 //! rows from two files are compared by their `(workload, jobs)`
 //! identity, so a smoke run covering only the small tiers can still be
@@ -20,7 +21,7 @@
 use crate::mem;
 use crate::pipeline::MetricCheck;
 use prio_core::prio::{PrioOptions, Prioritizer};
-use prio_dagman::parse_dagman_to_dag;
+use prio_dagman::parse_dagman_threads;
 use prio_graph::Dag;
 use prio_obs::json::{parse, JsonValue};
 use prio_sim::engine::simulate;
@@ -35,10 +36,9 @@ use std::time::Instant;
 /// The full-pipeline job-count tiers, smallest first.
 pub const TIERS: [usize; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
-/// The parse + CSR-build tiers (the `"dagman_parse"` workload). The top
-/// tier only runs the front half: at 10⁸ jobs a full pipeline run is out
-/// of scope, but parse + build must fit the committed memory budget.
-pub const PARSE_TIERS: [usize; 2] = [10_000_000, 100_000_000];
+/// The parse + CSR-build tiers (the `"dagman_parse"` workload). They run
+/// only the front half, whose peak bytes double as its memory budget.
+pub const PARSE_TIERS: [usize; 1] = [10_000_000];
 
 /// Montage jobs at the paper's default parameters; tier targets scale
 /// against this.
@@ -249,20 +249,23 @@ pub fn measure_dag(workload: &str, dag: &Dag, threads: usize) -> ScalingRow {
 }
 
 /// Measures one parse tier: generates the DAGMan text, then times the
-/// zero-copy direct parse + CSR build ([`parse_dagman_to_dag`]) and its
-/// allocator peak (text excluded — it is allocated before the baseline is
-/// taken). The top tier is timed once, without a warm-up: a single 10⁸-job
-/// parse is minutes of wall time, and its noise is far below the gate.
+/// parse + CSR build users run ([`parse_dagman_threads`], then `to_dag`)
+/// and its allocator peak (text excluded — it is allocated before the
+/// baseline is taken). Best of two runs, without a warm-up: a 10⁷-job
+/// parse is seconds of wall time, and its noise is far below the gate.
 pub fn measure_parse(target: usize, threads: usize) -> ScalingRow {
     let text = dagman_text_tier(target);
-    let iters = if target >= 50_000_000 { 1 } else { 2 };
+    let iters = 2;
     let mut best = u128::MAX;
     let mut peak_bytes = 0u64;
     let mut row = None;
     for _ in 0..iters {
         let baseline = mem::reset_peak();
         let t = Instant::now();
-        let dag = parse_dagman_to_dag(&text, threads).unwrap();
+        let dag = parse_dagman_threads(&text, threads)
+            .unwrap()
+            .to_dag()
+            .unwrap();
         best = best.min(t.elapsed().as_nanos());
         peak_bytes = peak_bytes.max(mem::peak_since(baseline) as u64);
         row.get_or_insert((dag.num_nodes() as u64, dag.num_arcs() as u64));
@@ -594,7 +597,13 @@ mod tests {
     #[test]
     fn dagman_text_tier_parses_to_the_expected_shape() {
         let text = dagman_text_tier(3_000);
-        let dag = prio_dagman::parse_dagman_to_dag(&text, 0).unwrap();
+        let parse = |threads| {
+            parse_dagman_threads(&text, threads)
+                .unwrap()
+                .to_dag()
+                .unwrap()
+        };
+        let dag = parse(0);
         assert_eq!(dag.num_nodes(), 3_000);
         // ~1.25 arcs per job, minus the last layer which has no children.
         let arcs = dag.num_arcs();
@@ -604,9 +613,7 @@ mod tests {
         );
         // Deterministic and identical across the parallel chunked path.
         assert_eq!(text, dagman_text_tier(3_000));
-        let par = prio_dagman::parse_dagman_to_dag(&text, 3).unwrap();
-        assert_eq!(dag.num_nodes(), par.num_nodes());
-        assert_eq!(dag.num_arcs(), par.num_arcs());
+        assert_eq!(parse(3), dag);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `CONFIG`, …) is preserved verbatim so instrumentation is a minimal diff.
 
 use crate::error::DagmanError;
-use prio_graph::{Dag, DagBuilder, NodeId};
-use std::collections::{HashMap, HashSet};
+use prio_graph::{Dag, DagBuilder, GraphError, NodeId};
+use std::collections::HashSet;
 use std::fmt;
 
 /// An interned job name.
@@ -206,48 +206,9 @@ impl DagmanFile {
     /// jobs, or cyclic dependencies.
     pub fn to_dag(&self) -> Result<Dag, DagmanError> {
         let mut b = DagBuilder::new();
-        let mut ids: HashMap<&str, NodeId> = HashMap::new();
-        for s in &self.statements {
-            let name = match s {
-                Statement::Job { name, .. } => name,
-                Statement::Subdag { name, .. } => name,
-                _ => continue,
-            };
-            if ids.contains_key(&**name) {
-                return Err(DagmanError::DuplicateJob {
-                    line: 0,
-                    job: name.to_string(),
-                });
-            }
-            ids.insert(&**name, b.add_node(&**name));
-        }
-        for s in &self.statements {
-            if let Statement::ParentChild { parents, children } = s {
-                for p in parents {
-                    for c in children {
-                        let (&pu, &cu) = match (ids.get(&**p), ids.get(&**c)) {
-                            (Some(pu), Some(cu)) => (pu, cu),
-                            (None, _) => {
-                                return Err(DagmanError::UnknownJob {
-                                    line: 0,
-                                    job: p.to_string(),
-                                })
-                            }
-                            (_, None) => {
-                                return Err(DagmanError::UnknownJob {
-                                    line: 0,
-                                    job: c.to_string(),
-                                })
-                            }
-                        };
-                        b.add_arc(pu, cu)
-                            .map_err(|_| DagmanError::Cyclic { job: p.to_string() })?;
-                    }
-                }
-            }
-        }
+        self.extract_graph(&mut b, |_, _, _| {}, |_, _| {})?;
         b.build().map_err(|e| match e {
-            prio_graph::GraphError::Cycle { on_cycle } => DagmanError::Cyclic {
+            GraphError::Cycle { on_cycle } => DagmanError::Cyclic {
                 job: self
                     .job_names()
                     .get(on_cycle as usize)
@@ -259,6 +220,55 @@ impl DagmanFile {
                 message: other.to_string(),
             },
         })
+    }
+
+    /// The one pass that turns the statements into a graph, shared by
+    /// [`DagmanFile::to_dag`] and [`crate::frontend::workflow_from_file`].
+    ///
+    /// The first walk declares every `JOB`/`SUBDAG EXTERNAL` node in
+    /// order, rejecting the first duplicate, and hands each to `on_node`.
+    /// The second adds each `PARENT … CHILD` statement's arcs in parent ×
+    /// child product order, failing on the first unknown parent, then
+    /// unknown child, then self-loop; every other statement goes to
+    /// `on_other`. Acyclicity is left to the caller's final build.
+    pub(crate) fn extract_graph<B: GraphBuilder>(
+        &self,
+        b: &mut B,
+        mut on_node: impl FnMut(&mut B, NodeId, &Statement),
+        mut on_other: impl FnMut(&mut B, &Statement),
+    ) -> Result<(), DagmanError> {
+        for s in &self.statements {
+            let (Statement::Job { name, .. } | Statement::Subdag { name, .. }) = s else {
+                continue;
+            };
+            if b.get(name).is_some() {
+                return Err(DagmanError::DuplicateJob {
+                    line: 0,
+                    job: name.to_string(),
+                });
+            }
+            let u = b.declare(name);
+            on_node(b, u, s);
+        }
+        for s in &self.statements {
+            let Statement::ParentChild { parents, children } = s else {
+                on_other(b, s);
+                continue;
+            };
+            for p in parents {
+                for c in children {
+                    let unknown = |job: &JobName| DagmanError::UnknownJob {
+                        line: 0,
+                        job: job.to_string(),
+                    };
+                    let pu = b.get(p).ok_or_else(|| unknown(p))?;
+                    let cu = b.get(c).ok_or_else(|| unknown(c))?;
+                    b.arc(pu, cu)
+                        .map_err(|_| DagmanError::Cyclic { job: p.to_string() })?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Looks up the value of a `VARS` macro for a job, if defined.
@@ -274,6 +284,34 @@ impl DagmanFile {
                 .map(|(_, v)| v.as_str()),
             _ => None,
         })
+    }
+}
+
+/// The name table and arc list [`DagmanFile::extract_graph`] fills: a
+/// bare [`DagBuilder`] for [`DagmanFile::to_dag`], or the
+/// [`prio_ir::WorkflowBuilder`] that wraps one for
+/// [`crate::frontend::workflow_from_file`].
+pub(crate) trait GraphBuilder {
+    /// The node already declared as `name`.
+    fn get(&self, name: &str) -> Option<NodeId>;
+    /// Declares a new node `name`.
+    fn declare(&mut self, name: &JobName) -> NodeId;
+    /// Adds the arc `u -> v`, rejecting a self-loop.
+    fn arc(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError>;
+}
+
+impl GraphBuilder for DagBuilder {
+    fn get(&self, name: &str) -> Option<NodeId> {
+        DagBuilder::get(self, name)
+    }
+
+    fn declare(&mut self, name: &JobName) -> NodeId {
+        // The label shares the statement's interned name; nothing is copied.
+        self.add_node(name.clone())
+    }
+
+    fn arc(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
+        self.add_arc(u, v)
     }
 }
 

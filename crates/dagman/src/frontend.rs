@@ -12,11 +12,11 @@
 //! then one single-parent `PARENT … CHILD` statement per non-sink —
 //! single-parent so that even a job named `child` re-parses unambiguously.
 
-use crate::ast::{DagmanFile, JobName, Statement};
-use crate::error::DagmanError;
+use crate::ast::{DagmanFile, GraphBuilder, JobName, Statement};
 use crate::instrument::JOBPRIORITY;
 use crate::parse::parse_dagman;
 use crate::write::write_dagman;
+use prio_graph::{GraphError, NodeId};
 use prio_ir::{
     FormatId, FormatRegistry, Frontend, ImportError, PrioError, Priorities, Workflow,
     WorkflowBuilder,
@@ -55,25 +55,13 @@ fn default_submit(name: &str) -> String {
 /// frontend, exposed for callers that already hold an AST).
 pub fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, PrioError> {
     let mut b = WorkflowBuilder::with_capacity(FormatId::Dagman, file.statements.len(), 0);
-    for s in &file.statements {
-        let (name, subdag) = match s {
-            Statement::Job { name, .. } => (name, false),
-            Statement::Subdag { name, .. } => (name, true),
-            _ => continue,
-        };
-        if b.get(name).is_some() {
-            return Err(DagmanError::DuplicateJob {
-                line: 0,
-                job: name.to_string(),
-            }
-            .into());
-        }
-        let u = b.job(name);
-        match s {
+    file.extract_graph(
+        &mut b,
+        |b, u, s| match s {
             Statement::Job {
+                name,
                 submit_file,
                 options,
-                ..
             } => {
                 if *submit_file != default_submit(name) {
                     b.set_meta(u, META_SUBMIT, submit_file.clone());
@@ -82,29 +70,10 @@ pub fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, PrioError> {
                     b.set_meta(u, META_OPTIONS, options.join(" "));
                 }
             }
-            Statement::Subdag { dag_file, .. } => {
-                b.set_meta(u, META_SUBDAG, dag_file.clone());
-            }
-            _ => unreachable!("filtered to node statements above"),
-        }
-        let _ = subdag;
-    }
-    for s in &file.statements {
-        match s {
-            Statement::ParentChild { parents, children } => {
-                for p in parents {
-                    for c in children {
-                        let unknown = |job: &JobName| DagmanError::UnknownJob {
-                            line: 0,
-                            job: job.to_string(),
-                        };
-                        let pu = b.get(p).ok_or_else(|| unknown(p))?;
-                        let cu = b.get(c).ok_or_else(|| unknown(c))?;
-                        b.arc(pu, cu)
-                            .map_err(|_| DagmanError::Cyclic { job: p.to_string() })?;
-                    }
-                }
-            }
+            Statement::Subdag { dag_file, .. } => b.set_meta(u, META_SUBDAG, dag_file.clone()),
+            _ => {}
+        },
+        |b, s| match s {
             Statement::Vars { job, pairs } => {
                 if let Some(u) = b.get(job) {
                     for (k, v) in pairs {
@@ -122,13 +91,27 @@ pub fn workflow_from_file(file: &DagmanFile) -> Result<Workflow, PrioError> {
                 }
             }
             _ => {}
-        }
-    }
+        },
+    )?;
     let wf = b.build()?;
     prio_obs::counter("dagman.parse.files").add(1);
     prio_obs::counter("dagman.parse.jobs").add(wf.num_jobs() as u64);
     prio_obs::counter("dagman.parse.arcs").add(wf.num_arcs() as u64);
     Ok(wf)
+}
+
+impl GraphBuilder for WorkflowBuilder {
+    fn get(&self, name: &str) -> Option<NodeId> {
+        WorkflowBuilder::get(self, name)
+    }
+
+    fn declare(&mut self, name: &JobName) -> NodeId {
+        self.job(name)
+    }
+
+    fn arc(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
+        WorkflowBuilder::arc(self, u, v)
+    }
 }
 
 /// Builds the canonical DAGMan AST for a workflow (the export half of the
@@ -240,7 +223,6 @@ impl Frontend for DagmanFrontend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prio_graph::NodeId;
 
     const FIG3: &str = "\
 JOB a a.submit

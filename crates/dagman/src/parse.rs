@@ -17,7 +17,7 @@ use prio_ir::NameInterner;
 
 /// Inputs below this size are parsed serially even when threads are
 /// requested: chunking and thread spawn cost more than the parse itself.
-pub(crate) const MIN_PARALLEL_PARSE_BYTES: usize = 1 << 16;
+const MIN_PARALLEL_PARSE_BYTES: usize = 1 << 16;
 
 /// Parses the text of a DAGMan input file.
 pub fn parse_dagman(text: &str) -> Result<DagmanFile, DagmanError> {
@@ -135,8 +135,7 @@ fn parse_line(raw: &str, line: usize, names: &mut NameInterner) -> Result<Statem
             );
             // Re-scan the remainder of the raw line to honor quoting.
             let rest_start = find_after_token(trimmed, 2);
-            let mut pairs = Vec::new();
-            parse_vars_pairs_into(&trimmed[rest_start..], line, Some(&mut pairs))?;
+            let pairs = parse_vars_pairs(&trimmed[rest_start..], line)?;
             if pairs.is_empty() {
                 return Err(malformed(line, "VARS requires at least one key=\"value\""));
             }
@@ -178,7 +177,7 @@ fn parse_line(raw: &str, line: usize, names: &mut NameInterner) -> Result<Statem
 }
 
 /// Byte offset just past the `n`-th whitespace-separated token of `s`.
-pub(crate) fn find_after_token(s: &str, n: usize) -> usize {
+fn find_after_token(s: &str, n: usize) -> usize {
     let mut count = 0;
     let mut in_token = false;
     for (i, ch) in s.char_indices() {
@@ -198,15 +197,9 @@ pub(crate) fn find_after_token(s: &str, n: usize) -> usize {
 }
 
 /// Parses `key="value"` pairs, honoring `\"` and `\\` escapes inside
-/// values. Returns the pair count; the pairs themselves are built only
-/// when `sink` is provided, so the direct parse-to-dag path — which needs
-/// validation but not the values — runs this allocation-free.
-pub(crate) fn parse_vars_pairs_into(
-    s: &str,
-    line: usize,
-    mut sink: Option<&mut Vec<(String, String)>>,
-) -> Result<usize, DagmanError> {
-    let mut count = 0usize;
+/// values.
+fn parse_vars_pairs(s: &str, line: usize) -> Result<Vec<(String, String)>, DagmanError> {
+    let mut pairs = Vec::new();
     let mut chars = s.char_indices().peekable();
     loop {
         // Skip whitespace.
@@ -238,21 +231,15 @@ pub(crate) fn parse_vars_pairs_into(
             Some((_, '"')) => {}
             _ => return Err(malformed(line, "VARS value must be double-quoted")),
         }
-        let mut value = sink.as_ref().map(|_| String::new());
+        let mut value = String::new();
         let mut closed = false;
         while let Some((_, c)) = chars.next() {
             match c {
                 '\\' => match chars.next() {
-                    Some((_, escaped @ ('"' | '\\'))) => {
-                        if let Some(v) = value.as_mut() {
-                            v.push(escaped);
-                        }
-                    }
+                    Some((_, escaped @ ('"' | '\\'))) => value.push(escaped),
                     Some((_, other)) => {
-                        if let Some(v) = value.as_mut() {
-                            v.push('\\');
-                            v.push(other);
-                        }
+                        value.push('\\');
+                        value.push(other);
                     }
                     None => return Err(malformed(line, "dangling escape in VARS value")),
                 },
@@ -260,28 +247,18 @@ pub(crate) fn parse_vars_pairs_into(
                     closed = true;
                     break;
                 }
-                other => {
-                    if let Some(v) = value.as_mut() {
-                        v.push(other);
-                    }
-                }
+                other => value.push(other),
             }
         }
         if !closed {
             return Err(malformed(line, "unterminated VARS value"));
         }
-        count += 1;
-        if let Some(pairs) = sink.as_mut() {
-            pairs.push((
-                key.to_string(),
-                value.take().expect("sink implies a built value"),
-            ));
-        }
+        pairs.push((key.to_string(), value));
     }
-    Ok(count)
+    Ok(pairs)
 }
 
-pub(crate) fn malformed(line: usize, message: &str) -> DagmanError {
+fn malformed(line: usize, message: &str) -> DagmanError {
     DagmanError::Malformed {
         line,
         message: message.to_string(),

@@ -30,8 +30,8 @@ use std::sync::Arc;
 /// names into the graph without any copy.
 pub type Label = Arc<str>;
 
-/// Arc-chunk floor below which the parallel CSR/sort paths fall back to
-/// the serial implementation: spawning scoped threads for a few thousand
+/// Arc-count floor below which the parallel CSR build falls back to the
+/// serial implementation: spawning scoped threads for a few thousand
 /// arcs costs more than the passes themselves.
 const MIN_PARALLEL_ARCS: usize = 1 << 16;
 
@@ -245,37 +245,6 @@ impl Dag {
             .iter()
             .all(|&(u, v)| u.index() < labels.len() && v.index() < labels.len()));
         Dag::from_sorted_unique_arcs_par(labels, arcs, threads)
-    }
-
-    /// Validating bulk constructor: sorts and deduplicates `arcs`, checks
-    /// endpoints, self-loops and acyclicity, and builds the CSR arrays —
-    /// the bulk equivalent of a [`DagBuilder`] loop without the per-arc
-    /// bounds chatter or the label map.
-    ///
-    /// `threads > 1` parallelizes the arc sort (chunk sorts + pairwise
-    /// merges) and the CSR fill; the result is bit-identical to the
-    /// serial path for every thread count.
-    pub fn assemble(
-        labels: Vec<Label>,
-        mut arcs: Vec<(NodeId, NodeId)>,
-        threads: usize,
-    ) -> Result<Dag, GraphError> {
-        let len = labels.len() as u32;
-        for &(u, v) in &arcs {
-            for w in [u, v] {
-                if w.0 >= len {
-                    return Err(GraphError::InvalidNode { index: w.0, len });
-                }
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { index: u.0 });
-            }
-        }
-        par_sort_arcs(&mut arcs, threads);
-        arcs.dedup();
-        let dag = Dag::from_sorted_unique_arcs_par(labels, &arcs, threads);
-        kahn_acyclicity_check(&dag)?;
-        Ok(dag)
     }
 
     /// Number of nodes (jobs).
@@ -706,50 +675,6 @@ impl DagBuilder {
         kahn_acyclicity_check(&dag)?;
         Ok(dag)
     }
-}
-
-/// Sorts an arc list lexicographically; `threads > 1` splits it into
-/// per-thread chunk sorts followed by rounds of pairwise merges (each
-/// round's merges run concurrently into disjoint output ranges). Sorting
-/// is deterministic, so the result is identical to `sort_unstable`.
-fn par_sort_arcs(arcs: &mut Vec<(NodeId, NodeId)>, threads: usize) {
-    let m = arcs.len();
-    if threads <= 1 || m < MIN_PARALLEL_ARCS {
-        arcs.sort_unstable();
-        return;
-    }
-    let t = threads.min(m);
-    let mut bounds: Vec<usize> = (0..=t).map(|i| m * i / t).collect();
-    par::for_each_chunk_mut(arcs, &bounds, t, |_, chunk| chunk.sort_unstable());
-    // Pairwise merge rounds between two buffers: merge `j` of a round
-    // writes the output range of sorted runs `2j` and `2j + 1` (an odd
-    // last run is copied through), so a round's merges run concurrently.
-    let mut src = std::mem::take(arcs);
-    let mut dst = vec![(NodeId(0), NodeId(0)); m];
-    while bounds.len() > 2 {
-        // Keep every other boundary (merged pairs), always keeping the end.
-        let mut merged: Vec<usize> = bounds.iter().copied().step_by(2).collect();
-        if merged.last() != bounds.last() {
-            merged.push(m);
-        }
-        par::for_each_chunk_mut(&mut dst, &merged, t, |j, out| {
-            let (lo, mid, hi) = (merged[j], bounds[2 * j + 1], merged[j + 1]);
-            let (a, b) = (&src[lo..mid], &src[mid..hi]);
-            let (mut x, mut y) = (0usize, 0usize);
-            for slot in out.iter_mut() {
-                *slot = if y >= b.len() || (x < a.len() && a[x] <= b[y]) {
-                    x += 1;
-                    a[x - 1]
-                } else {
-                    y += 1;
-                    b[y - 1]
-                };
-            }
-        });
-        std::mem::swap(&mut src, &mut dst);
-        bounds = merged;
-    }
-    *arcs = src;
 }
 
 /// Kahn's algorithm purely to detect cycles; the topological sort itself

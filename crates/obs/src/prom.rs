@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics;
+use crate::metrics::{self, HistogramRecord, MetricRecord};
 
 /// Mangles a registry metric name into a legal Prometheus name:
 /// `prio_` prefix, dots (and any other non `[a-zA-Z0-9_]`) become
@@ -32,18 +32,28 @@ fn prom_name(name: &str) -> String {
 }
 
 /// Renders the full registry (counters, gauges, histogram summaries) in
-/// Prometheus text format. Deterministic: families appear sorted by
-/// name, as the registry snapshot already guarantees.
+/// Prometheus text format: [`render`] over one read of the registry.
 pub fn render_snapshot() -> String {
+    render(
+        &metrics::metrics_snapshot(),
+        &metrics::histograms_snapshot(),
+    )
+}
+
+/// Renders counter/gauge and histogram records in Prometheus text
+/// format, in the order given. The registry snapshots are each sorted by
+/// name, so a registry render lists families sorted by name within each
+/// of the two groups.
+pub fn render(metrics: &[MetricRecord], histograms: &[HistogramRecord]) -> String {
     let mut out = String::new();
-    for record in metrics::metrics_snapshot() {
+    for record in metrics {
         let name = prom_name(record.name);
         let kind = if record.is_gauge { "gauge" } else { "counter" };
         let _ = writeln!(out, "# HELP {name} prio metric {}", record.name);
         let _ = writeln!(out, "# TYPE {name} {kind}");
         let _ = writeln!(out, "{name} {}", record.value);
     }
-    for record in metrics::histograms_snapshot() {
+    for record in histograms {
         let name = prom_name(record.name);
         let s = &record.summary;
         let _ = writeln!(out, "# HELP {name} prio histogram {}", record.name);
@@ -107,9 +117,32 @@ mod tests {
         }
     }
 
+    /// Renders one captured snapshot twice, so sibling tests bumping the
+    /// process-global registry in between cannot change what is compared.
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
-        metrics::counter("test.prom.det").add(1);
-        assert_eq!(render_snapshot(), render_snapshot());
+        metrics::counter("test.prom.det.b").add(1);
+        metrics::counter("test.prom.det.a").add(1);
+        metrics::histogram("test.prom.det.hist").record(5);
+        let (records, histograms) = (metrics::metrics_snapshot(), metrics::histograms_snapshot());
+        let text = render(&records, &histograms);
+        assert_eq!(text, render(&records, &histograms));
+
+        // Each family's HELP line ends with its registry name.
+        let families: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("# HELP "))
+            .filter_map(|l| l.rsplit(' ').next())
+            .collect();
+        assert_eq!(families.len(), records.len() + histograms.len());
+        let (plain, summaries) = families.split_at(records.len());
+        for group in [plain, summaries] {
+            assert!(
+                group.windows(2).all(|w| w[0] < w[1]),
+                "families not sorted by name: {group:?}"
+            );
+        }
+        assert!(plain.contains(&"test.prom.det.a") && plain.contains(&"test.prom.det.b"));
+        assert!(summaries.contains(&"test.prom.det.hist"));
     }
 }

@@ -247,9 +247,9 @@ if [ "${PRIO_BENCH_CHECK:-0}" = "1" ]; then
   # sampled runs within the 1.10x budget, zero dropped events.
   ./target/release/bench_check --obs-fresh BENCH_obs.json
   # Front-half smoke at real scale: parse + CSR-build the 10^7-job
-  # DAGMan tier (the 10^8 tier stays manual-only — its working set is
-  # too large for shared CI). Time-boxed so a pathological slowdown
-  # fails loudly instead of hanging the gate.
+  # DAGMan tier through the path users run (parse_dagman_threads, then
+  # to_dag). Time-boxed so a pathological slowdown fails loudly instead
+  # of hanging the gate.
   timeout 600 ./target/release/bench_scaling --parse-only \
     --max-jobs 10000000 --threads 4 \
     --out target/BENCH_scaling_parse_smoke.json \
@@ -268,6 +268,8 @@ if [ "${PRIO_BENCH_CHECK:-0}" = "1" ]; then
   # response per id, a >=0.90 cache hit ratio, and a drained shutdown.
   run_cargo test --release -q -p dagprio --test serve_soak -- --ignored
 fi
+# Non-test lines per crate: a report for the change log, not a gate.
+bash scripts/loc.sh
 run_cargo fmt --all -- --check
 run_cargo clippy --workspace --all-targets -- -D warnings
 # Per-crate line coverage (cargo-llvm-cov). Optional: prints coverage

@@ -1,7 +1,7 @@
 //! Parallel-vs-serial bit-identity properties.
 //!
-//! Every parallel path in the front half of the pipeline — CSR assembly,
-//! transitive reduction, decomposition, and the two DAGMan parse paths —
+//! Every parallel path in the front half of the pipeline — the CSR build,
+//! transitive reduction, decomposition, and the chunked DAGMan parse —
 //! promises results *bit-identical* to its serial twin for every thread
 //! count. The properties here hold that promise on random dags and
 //! catalog-family compositions; the `*_at_scale` tests additionally cross
@@ -11,7 +11,7 @@
 use dagprio::core::decompose::{decompose_in, DecomposeOptions, Decomposition};
 use dagprio::core::prio::{PrioOptions, Prioritizer};
 use dagprio::dagman::scan::chunk_at_lines;
-use dagprio::dagman::{parse_dagman, parse_dagman_threads, parse_dagman_to_dag, DagmanError};
+use dagprio::dagman::{parse_dagman, parse_dagman_threads, DagmanError};
 use dagprio::graph::reduction::{shortcut_arcs_into, shortcut_arcs_par_into};
 use dagprio::graph::{Dag, GraphScratch, Label, NodeId, ScratchArena};
 use proptest::prelude::*;
@@ -56,12 +56,12 @@ fn arb_composed() -> impl Strategy<Value = Dag> {
     })
 }
 
-/// The arc list of `dag` in a scrambled (reverse) order, as `assemble`
-/// input — the constructor must sort it back itself.
-fn scrambled_arcs(dag: &Dag) -> Vec<(NodeId, NodeId)> {
-    let mut arcs: Vec<(NodeId, NodeId)> = dag.arcs().collect();
-    arcs.reverse();
-    arcs
+/// `dag` rebuilt through [`Dag::from_sorted_arcs_unchecked`] (the CSR
+/// build `build_superdag` runs) on `threads` threads, from its sorted,
+/// duplicate-free arc list.
+fn rebuilt(dag: &Dag, threads: usize) -> Dag {
+    let arcs: Vec<(NodeId, NodeId)> = dag.arcs().collect();
+    Dag::from_sorted_arcs_unchecked(labels_of(dag), &arcs, threads)
 }
 
 fn labels_of(dag: &Dag) -> Vec<Label> {
@@ -105,14 +105,13 @@ fn to_dagman_text(dag: &Dag) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// CSR assembly is thread-count invariant (including offset arrays and
-    /// both adjacency directions, via `Dag`'s structural equality).
+    /// The CSR build is thread-count invariant (including offset arrays
+    /// and both adjacency directions, via `Dag`'s structural equality).
     #[test]
     fn assemble_is_thread_count_invariant(dag in arb_dag(24, 0.25)) {
-        let serial = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), 0).unwrap();
+        let serial = rebuilt(&dag, 0);
         for threads in [1, 2, 4] {
-            let par = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), threads).unwrap();
-            prop_assert_eq!(&par, &serial);
+            prop_assert_eq!(&rebuilt(&dag, threads), &serial);
         }
         prop_assert_eq!(&serial, &dag);
     }
@@ -168,18 +167,13 @@ proptest! {
         }
     }
 
-    /// Both DAGMan front doors — the AST path and the zero-copy direct
-    /// path — produce the same dag, at every thread count.
+    /// The serial and the chunked DAGMan parse produce the same dag.
     #[test]
     fn dagman_parse_paths_agree(dag in arb_dag(16, 0.3)) {
         let text = to_dagman_text(&dag);
         let ast = parse_dagman(&text).unwrap().to_dag().unwrap();
         let chunked = parse_dagman_threads(&text, 4).unwrap().to_dag().unwrap();
         prop_assert_eq!(&chunked, &ast);
-        for threads in [0, 1, 3] {
-            let direct = parse_dagman_to_dag(&text, threads).unwrap();
-            prop_assert_eq!(&direct, &ast, "threads={}", threads);
-        }
     }
 }
 
@@ -209,22 +203,23 @@ fn scale_dag() -> Dag {
 fn parallel_csr_build_bit_identical_at_scale() {
     let dag = scale_dag();
     assert!(dag.num_arcs() > 1 << 16, "must cross MIN_PARALLEL_ARCS");
-    let serial = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), 0).unwrap();
-    let par = Dag::assemble(labels_of(&dag), scrambled_arcs(&dag), 4).unwrap();
-    assert_eq!(par, serial);
+    assert_eq!(rebuilt(&dag, 4), rebuilt(&dag, 0));
 }
 
 /// The four scientific workloads at a reduced-but-structural scale:
-/// every stage — CSR assembly, reduction, decomposition, the full
+/// every stage — the CSR build, reduction, decomposition, the full
 /// pipeline — is thread-count invariant on each of them.
 #[test]
 fn workload_suite_is_thread_count_invariant() {
     for w in dagprio::workloads::scaled_suite(0.25) {
         let dag = w.dag();
 
-        let serial = Dag::assemble(labels_of(dag), scrambled_arcs(dag), 0).unwrap();
-        let par = Dag::assemble(labels_of(dag), scrambled_arcs(dag), 4).unwrap();
-        assert_eq!(par, serial, "{}: assemble diverged", w.name);
+        assert_eq!(
+            rebuilt(dag, 4),
+            rebuilt(dag, 0),
+            "{}: CSR build diverged",
+            w.name
+        );
 
         let mut scratch = GraphScratch::new();
         let mut shortcuts_serial = Vec::new();
@@ -325,9 +320,9 @@ fn replace_line(text: &str, line: usize, new: &str) -> String {
     out
 }
 
-/// Above `MIN_PARALLEL_PARSE_BYTES` the chunked AST parse and the direct
-/// path actually split the input, and still equal the serial parse: the
-/// whole statement list, not only the dag it reduces to.
+/// Above `MIN_PARALLEL_PARSE_BYTES` the chunked parse actually splits the
+/// input, and still equals the serial parse: the whole statement list,
+/// not only the dag it reduces to.
 #[test]
 fn dagman_chunked_parse_matches_serial_above_threshold() {
     let text = large_dagman_text();
@@ -337,15 +332,10 @@ fn dagman_chunked_parse_matches_serial_above_threshold() {
         let chunked = parse_dagman_threads(&text, threads).unwrap();
         assert_eq!(chunked, serial, "threads={threads}");
     }
-    let ast = serial.to_dag().unwrap();
-    for threads in [0, 1, 3] {
-        let direct = parse_dagman_to_dag(&text, threads).unwrap();
-        assert_eq!(direct, ast, "threads={threads}");
-    }
 }
 
-/// A malformed line in the first, a middle or the last chunk gives both
-/// chunked paths exactly the serial parser's error (variant and line),
+/// A malformed line in the first, a middle or the last chunk gives the
+/// chunked parse exactly the serial parser's error (variant and line),
 /// also when a second malformed line sits in a later chunk.
 #[test]
 fn dagman_chunked_parse_errors_match_serial_in_every_chunk() {
@@ -374,11 +364,6 @@ fn dagman_chunked_parse_errors_match_serial_in_every_chunk() {
                 serial,
                 "{ctx}"
             );
-            assert_eq!(
-                parse_dagman_to_dag(&bad, threads).unwrap_err(),
-                serial,
-                "{ctx}"
-            );
         }
     }
 }
@@ -400,10 +385,5 @@ fn dagman_duplicate_job_across_chunks_matches_serial() {
             "{expected:?}"
         );
         assert_eq!(chunked.to_dag().unwrap_err(), expected, "threads={threads}");
-        assert_eq!(
-            parse_dagman_to_dag(&dup, threads).unwrap_err(),
-            expected,
-            "threads={threads}"
-        );
     }
 }
