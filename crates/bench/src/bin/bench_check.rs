@@ -40,8 +40,9 @@
 //! * `--obs-budget F` — allowed traced/untraced overhead ratio
 //!   (default 1.10: tracing must cost under 10%)
 //! * `--serve-fresh FILE` — additionally gate a `bench_serve` run: the
-//!   absolute floors always apply (sustained ≥ 10k req/s, p99 ≤ 5 ms,
-//!   warm-cache hit ratio ≥ 0.90, zero errors), and throughput/p99 are
+//!   absolute floors always apply (sustained ≥ 10k req/s, open-loop
+//!   p99 ≤ 100 ms, closed-loop p99 ≤ 10 ms, warm-cache hit ratio ≥ 0.90,
+//!   zero errors), and throughput/p99 are
 //!   also held to `--threshold` against the committed baseline
 //! * `--serve-baseline FILE` — the serve baseline
 //!   (default `BENCH_serve.json`; only read with `--serve-fresh`)
@@ -342,7 +343,7 @@ fn main() -> ExitCode {
         for check in serve::check_floors(&fresh) {
             let verdict = if check.failed { "REGRESSED" } else { "ok" };
             eprintln!(
-                "bench_check: serve {:<18} value {:>12.1}, bound {:>10.1} {verdict}",
+                "bench_check: serve {:<21} value {:>12.1}, bound {:>10.1} {verdict}",
                 check.name, check.value, check.bound
             );
             failed |= check.failed;
@@ -352,7 +353,7 @@ fn main() -> ExitCode {
                 for check in serve::compare_serve(&baseline, &fresh, opts.threshold) {
                     let verdict = if check.failed { "REGRESSED" } else { "ok" };
                     eprintln!(
-                        "bench_check: serve {:<18} value {:>12.1}, bound {:>10.1} (threshold {:.2}) {verdict}",
+                        "bench_check: serve {:<21} value {:>12.1}, bound {:>10.1} (threshold {:.2}) {verdict}",
                         check.name, check.value, check.bound, opts.threshold
                     );
                     failed |= check.failed;

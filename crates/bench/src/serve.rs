@@ -13,17 +13,26 @@
 //! cache hit path and the full pipeline path are always exercised, and a
 //! warm-cache hit ratio floor is meaningful.
 //!
+//! After the open-loop window, a **closed-loop** pass sends
+//! [`CLOSED_LOOP_REQUESTS`] warm requests over a second connection with
+//! one request in flight, the way a submit wrapper blocks on its reply.
+//! A pipelined open-loop client always has segments in flight, so it
+//! cannot see a reply that waits on the client's ACK (Nagle's algorithm
+//! against a delayed ACK holds such a reply about 40 ms); the
+//! closed-loop service time can, and [`check_floors`] gates its p99
+//! tightly.
+//!
 //! [`ServeBench::to_json`] serializes with a fixed key order
 //! ([`KEY_ORDER`]) for a cleanly-diffing committed `BENCH_serve.json`;
 //! [`check_floors`] holds a measurement to the absolute acceptance
-//! floors (sustained req/s, p99 latency, hit ratio), and
+//! floors (sustained req/s, p99 latency, closed-loop p99, hit ratio), and
 //! [`compare_serve`] guards a fresh run against the committed baseline.
 
 use prio_ir::{FormatId, Workflow};
 use prio_obs::json::{parse, JsonValue};
 use prio_serve::{encode_control, encode_request, ServeConfig, Server};
 use prio_workloads::montage::{montage, MontageParams};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,11 +46,21 @@ pub const MIN_RPS: f64 = 10_000.0;
 /// magnitude wider: on a shared single-CPU runner the tail is dominated
 /// by host preemption stalls of tens of milliseconds — throughput and
 /// p50 barely move while p99 swings 10×, so a tight ceiling only
-/// measures the neighbors. A real tail regression (a lost wakeup, a
-/// wedged drain, a serialized pool) parks requests for seconds and
-/// blows through this bound anyway; genuine throughput regressions are
-/// caught by the stable [`MIN_RPS`] floor.
+/// measures the neighbors. This ceiling only catches requests parked
+/// for a large fraction of a second (a lost wakeup, a wedged drain). It
+/// cannot see a per-reply stall of tens of milliseconds, such as a
+/// reply waiting on the client's delayed ACK: the pipelined open-loop
+/// client keeps segments in flight and never waits on its own ACK.
+/// [`MAX_CLOSED_P99_US`] gates that class; genuine throughput
+/// regressions are caught by the stable [`MIN_RPS`] floor.
 pub const MAX_P99_US: u64 = 100_000;
+/// Absolute acceptance ceiling: closed-loop service-time p99,
+/// microseconds — one connection, one request in flight, warm pool. A
+/// reply that waits on the client's delayed ACK costs about 40 ms and
+/// fails this by 4×; a warm hit costs well under a millisecond.
+pub const MAX_CLOSED_P99_US: u64 = 10_000;
+/// Requests in the closed-loop pass after the open-loop window.
+pub const CLOSED_LOOP_REQUESTS: usize = 500;
 /// Additive scheduler-noise allowance on the relative p99 comparison,
 /// sized to the host-preemption stalls observed on shared runners: a
 /// multiplicative threshold alone turns a sub-3 ms baseline into a
@@ -53,7 +72,7 @@ pub const MIN_HIT_RATIO: f64 = 0.90;
 
 /// The serialized keys, in the exact order [`ServeBench::to_json`] emits
 /// them.
-pub const KEY_ORDER: [&str; 15] = [
+pub const KEY_ORDER: [&str; 17] = [
     "workload",
     "jobs",
     "unique_dags",
@@ -68,6 +87,8 @@ pub const KEY_ORDER: [&str; 15] = [
     "p50_us",
     "p90_us",
     "p99_us",
+    "closed_p50_us",
+    "closed_p99_us",
     "hit_ratio",
 ];
 
@@ -102,6 +123,11 @@ pub struct ServeBench {
     pub p90_us: u64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: u64,
+    /// Closed-loop median service time (request written to reply line
+    /// read, one request in flight), microseconds.
+    pub closed_p50_us: u64,
+    /// Closed-loop 99th-percentile service time, microseconds.
+    pub closed_p99_us: u64,
     /// Cache hits / lookups during the measured window.
     pub hit_ratio: f64,
 }
@@ -312,12 +338,45 @@ pub fn measure(opts: &ServeBenchOptions) -> ServeBench {
     }
     writer.flush().expect("flush");
     wait_done(warm_ids + total as u64);
-    send_control(&mut writer, "stats_after");
+
+    // Closed-loop pass on a second connection. Its first round trip is
+    // the window's closing `stats` snapshot, so no closed-loop hit lands
+    // inside the measured hit ratio.
+    let closed = TcpStream::connect(addr).expect("connect to daemon");
+    let mut closed_reader = BufReader::with_capacity(1 << 16, closed.try_clone().expect("clone"));
+    let mut closed_writer = BufWriter::with_capacity(1 << 16, closed);
+    send_control(&mut closed_writer, "stats_after");
+    let mut stats_after = String::new();
+    closed_reader
+        .read_line(&mut stats_after)
+        .expect("stats reply");
+    let mut closed_latencies: Vec<u64> = Vec::with_capacity(CLOSED_LOOP_REQUESTS);
+    let mut closed_errors = 0u64;
+    let mut reply = String::new();
+    for i in 0..CLOSED_LOOP_REQUESTS {
+        let sent = Instant::now();
+        pool[i % pool.len()]
+            .write(&mut closed_writer, i as u64)
+            .and_then(|()| closed_writer.flush())
+            .expect("send");
+        reply.clear();
+        closed_reader
+            .read_line(&mut reply)
+            .expect("closed-loop reply");
+        let micros = sent.elapsed().as_micros() as u64;
+        match decode_response(&reply) {
+            Some((_, 0)) => closed_latencies.push(micros),
+            _ => closed_errors += 1,
+        }
+    }
+    closed_latencies.sort_unstable();
+
     send_shutdown(&mut writer);
     // The daemon's teardown drops the server-side write half, which is
     // what EOFs the client reader — so wait() must come first.
     server.wait();
-    let stats_lines = reader.join().expect("reader thread");
+    let mut stats_lines = reader.join().expect("reader thread");
+    stats_lines.push(stats_after.trim().to_string());
 
     // Latencies from the scheduled (not actual) send time.
     let mut latencies: Vec<u64> = Vec::with_capacity(total);
@@ -337,13 +396,6 @@ pub fn measure(opts: &ServeBenchOptions) -> ServeBench {
         }
     }
     latencies.sort_unstable();
-    let pct = |p: u64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((latencies.len() as u64 * p).div_ceil(100)).max(1) as usize - 1;
-        latencies[rank.min(latencies.len() - 1)]
-    };
     let duration_ns = (last_completion_us.saturating_sub(start_us)).max(1) * 1_000;
     let hit_ratio = hit_ratio_between(&stats_lines);
 
@@ -356,14 +408,25 @@ pub fn measure(opts: &ServeBenchOptions) -> ServeBench {
         requests: total as u64,
         completed,
         overloaded,
-        errors,
+        errors: errors + closed_errors,
         duration_ns,
         achieved_rps: completed as f64 / (duration_ns as f64 / 1e9),
-        p50_us: pct(50),
-        p90_us: pct(90),
-        p99_us: pct(99),
+        p50_us: percentile(&latencies, 50),
+        p90_us: percentile(&latencies, 90),
+        p99_us: percentile(&latencies, 99),
+        closed_p50_us: percentile(&closed_latencies, 50),
+        closed_p99_us: percentile(&closed_latencies, 99),
         hit_ratio,
     }
+}
+
+/// The nearest-rank `p`th percentile of an ascending slice (0 if empty).
+fn percentile(sorted: &[u64], p: u64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((sorted.len() as u64 * p).div_ceil(100)).max(1) as usize - 1;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Runs [`measure`] `repeat` times and keeps the run with the lowest
@@ -429,7 +492,7 @@ impl ServeBench {
     /// [`KEY_ORDER`], one per line, trailing newline.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"unique_dags\": {},\n  \"threads\": {},\n  \"offered_rps\": {},\n  \"requests\": {},\n  \"completed\": {},\n  \"overloaded\": {},\n  \"errors\": {},\n  \"duration_ns\": {},\n  \"achieved_rps\": {:.1},\n  \"p50_us\": {},\n  \"p90_us\": {},\n  \"p99_us\": {},\n  \"hit_ratio\": {:.4}\n}}\n",
+            "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"unique_dags\": {},\n  \"threads\": {},\n  \"offered_rps\": {},\n  \"requests\": {},\n  \"completed\": {},\n  \"overloaded\": {},\n  \"errors\": {},\n  \"duration_ns\": {},\n  \"achieved_rps\": {:.1},\n  \"p50_us\": {},\n  \"p90_us\": {},\n  \"p99_us\": {},\n  \"closed_p50_us\": {},\n  \"closed_p99_us\": {},\n  \"hit_ratio\": {:.4}\n}}\n",
             self.workload,
             self.jobs,
             self.unique_dags,
@@ -444,6 +507,8 @@ impl ServeBench {
             self.p50_us,
             self.p90_us,
             self.p99_us,
+            self.closed_p50_us,
+            self.closed_p99_us,
             self.hit_ratio,
         )
     }
@@ -483,6 +548,8 @@ impl ServeBench {
             p50_us: u("p50_us")?,
             p90_us: u("p90_us")?,
             p99_us: u("p99_us")?,
+            closed_p50_us: u("closed_p50_us")?,
+            closed_p99_us: u("closed_p99_us")?,
             hit_ratio: f("hit_ratio")?,
         })
     }
@@ -502,8 +569,9 @@ pub struct ServeCheck {
 }
 
 /// Holds a measurement to the absolute acceptance floors: sustained
-/// req/s ≥ [`MIN_RPS`], p99 ≤ [`MAX_P99_US`], hit ratio ≥
-/// [`MIN_HIT_RATIO`], and zero errors.
+/// req/s ≥ [`MIN_RPS`], p99 ≤ [`MAX_P99_US`], closed-loop p99 ≤
+/// [`MAX_CLOSED_P99_US`], hit ratio ≥ [`MIN_HIT_RATIO`], and zero
+/// errors.
 pub fn check_floors(fresh: &ServeBench) -> Vec<ServeCheck> {
     vec![
         ServeCheck {
@@ -517,6 +585,12 @@ pub fn check_floors(fresh: &ServeBench) -> Vec<ServeCheck> {
             bound: MAX_P99_US as f64,
             value: fresh.p99_us as f64,
             failed: fresh.p99_us > MAX_P99_US,
+        },
+        ServeCheck {
+            name: "closed_p99_us_ceiling",
+            bound: MAX_CLOSED_P99_US as f64,
+            value: fresh.closed_p99_us as f64,
+            failed: fresh.closed_p99_us > MAX_CLOSED_P99_US,
         },
         ServeCheck {
             name: "hit_ratio_floor",
@@ -577,6 +651,8 @@ mod tests {
             p50_us: 180,
             p90_us: 420,
             p99_us: 1_800,
+            closed_p50_us: 250,
+            closed_p99_us: 900,
             hit_ratio: 0.9492,
         }
     }
@@ -616,6 +692,14 @@ mod tests {
         assert!(check_floors(&laggy)
             .iter()
             .any(|c| c.name == "p99_us_ceiling" && c.failed));
+        let stalled = ServeBench {
+            closed_p50_us: 44_000,
+            closed_p99_us: 44_600,
+            ..sample()
+        };
+        assert!(check_floors(&stalled)
+            .iter()
+            .any(|c| c.name == "closed_p99_us_ceiling" && c.failed));
         let cold = ServeBench {
             hit_ratio: 0.5,
             ..sample()
@@ -705,6 +789,10 @@ mod tests {
         assert!(
             b.hit_ratio > 0.5,
             "duplicate-heavy mix must mostly hit: {b:?}"
+        );
+        assert!(
+            b.closed_p50_us > 0 && b.closed_p50_us <= b.closed_p99_us,
+            "{b:?}"
         );
         ServeBench::from_json(&b.to_json()).unwrap();
     }

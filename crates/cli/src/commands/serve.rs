@@ -9,9 +9,10 @@
 //! request per line, one id-matched response line per request. `--listen`
 //! (default `127.0.0.1:7077`; use port `0` for an ephemeral port) serves
 //! TCP connections until a `shutdown` verb arrives; `--stdio` serves a
-//! single session over stdin/stdout and exits at EOF. `--format` sets the
-//! default input format for requests that name none (`auto` = content
-//! detection). Combine with the global `--metrics-out F` to write a
+//! single session over stdin/stdout and exits at EOF. `--cache-bytes`
+//! bounds the result cache (default 33554432 bytes, 32 MiB). `--format`
+//! sets the default input format for requests that name none (`auto` =
+//! content detection). Combine with the global `--metrics-out F` to write a
 //! Prometheus snapshot — including the `serve.request.micros` latency
 //! histogram and the `serve.queue.shed` counter — when the daemon exits.
 

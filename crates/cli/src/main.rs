@@ -207,6 +207,7 @@ USAGE:
     prio stats      (<workflow> | --workload NAME [--scale F])
     prio serve      [--listen ADDR | --stdio] [--serve-threads N] [--queue-cap N]
                     [--cache-bytes N] [--max-request-bytes N] [--format F]
+                    (--cache-bytes: result-cache budget, default 33554432 = 32 MiB)
     prio help
 
 FORMATS (--format / --from / --to):

@@ -26,8 +26,10 @@
 //!   output format *and* a [`render_key`] over everything an exporter
 //!   reads besides the schedule — source format and per-job metadata
 //!   ([`ResultCache::note_rendered`]), charged against the same byte
-//!   budget. A warm hit replays the cold request's exact bytes instead
-//!   of re-exporting, but only for a workflow whose export is provably
+//!   budget. The server admits a render only when its exact request
+//!   text repeats, so one-off requests do not fill the budget. A warm
+//!   hit replays an earlier request's exact bytes instead of
+//!   re-exporting, but only for a workflow whose export is provably
 //!   byte-identical: two same-CSR workflows with different submit files
 //!   share the schedule, never each other's rendered text;
 //! * a count-capped **text memo** ([`ResultCache::memo_insert`]) maps the
@@ -48,7 +50,7 @@ pub const SHARDS: usize = 16;
 
 /// Fixed per-entry overhead charged against the byte budget, over the
 /// schedule order itself: the key, the tick, the two map entries.
-const ENTRY_OVERHEAD_BYTES: usize = 96;
+pub(crate) const ENTRY_OVERHEAD_BYTES: usize = 96;
 
 /// A 128-bit content hash of a workflow's CSR (labels + arcs): two
 /// independent 64-bit [`prio_graph::labelhash::NameHasher`] streams with

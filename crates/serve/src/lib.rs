@@ -18,8 +18,9 @@
 //! exports keyed by output format plus a [`cache::render_key`] over the
 //! exporter's non-CSR inputs, and a text memo from exact request bytes
 //! to CSR key) let the common warm request skip the import and export
-//! entirely — they replay bytes the cold path produced, so they
-//! accelerate without changing a single response.
+//! entirely — they replay bytes an earlier request produced, so they
+//! accelerate without changing a single response. A render is admitted
+//! on its text's second sighting, so one-off requests cost no memory.
 //!
 //! Entry points: [`Server::bind`] (TCP), [`serve_stdio`] /
 //! [`serve_streams`] (single connection), all configured by

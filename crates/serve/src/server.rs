@@ -36,7 +36,7 @@
 //! worker replaces its context with a fresh one before the next request —
 //! one poisoned request cannot degrade the requests after it.
 
-use crate::cache::{render_key, text_key, workflow_key, CacheStats, ResultCache, TextKey};
+use crate::cache::{render_key, text_key, workflow_key, CacheKey, CacheStats, ResultCache};
 use crate::protocol::{
     error_response, ok_response, overloaded_response, parse_request, ping_response,
     prio_error_response, Request, Verb,
@@ -57,7 +57,7 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Bounded request-queue capacity; overflow sheds with `overloaded`.
     pub queue_capacity: usize,
-    /// Result-cache byte budget.
+    /// Result-cache byte budget (default 32 MiB).
     pub cache_bytes: usize,
     /// Maximum accepted request line length in bytes; longer lines get a
     /// structured error and are discarded without buffering them.
@@ -75,7 +75,7 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: 2,
             queue_capacity: 1024,
-            cache_bytes: 64 << 20,
+            cache_bytes: 32 << 20,
             max_request_bytes: 16 << 20,
             default_format: None,
             worker_delay: Duration::ZERO,
@@ -129,14 +129,15 @@ impl Conn {
         })
     }
 
-    /// Writes one response line. A failed write (client went away) is
-    /// counted, not fatal: the daemon and its workers keep serving.
-    fn send_line(&self, line: &str) {
+    /// Writes one response line — the body and its newline in a single
+    /// write, so a closed-loop client never waits on a lone trailing
+    /// segment that Nagle's algorithm holds for its delayed ACK. A failed
+    /// write (client went away) is counted, not fatal: the daemon and its
+    /// workers keep serving.
+    fn send_line(&self, mut line: String) {
+        line.push('\n');
         let mut w = self.writer.lock().unwrap();
-        let result = w
-            .write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .and_then(|()| w.flush());
+        let result = w.write_all(line.as_bytes()).and_then(|()| w.flush());
         if result.is_err() {
             prio_obs::counter("serve.conn.write_errors").inc();
         }
@@ -289,21 +290,19 @@ fn output_frontend<'r>(
     }
 }
 
-/// The warm fast path: this exact request text was served before, its
-/// result entry is still live, and the export for the requested output
-/// format is already rendered — so the response replays the cold
-/// request's bytes without parsing, prioritizing, or exporting anything.
-/// `Ok(None)` falls through to the full path; the only error it can
-/// produce (an unknown output format name) is byte-identical to the full
-/// path's.
+/// The warm fast path: this exact request text was served before (`memo`
+/// is what the text memo resolved it to), its result entry is still live,
+/// and the export for the requested output format is already rendered —
+/// so the response replays an earlier request's bytes without parsing,
+/// prioritizing, or exporting anything. `Ok(None)` falls through to the
+/// full path; the only error it can produce (an unknown output format
+/// name) is byte-identical to the full path's.
 fn try_fast_path(
     shared: &Shared,
     request: &Request,
-    tk: TextKey,
+    memo: (CacheKey, FormatId, usize, u64),
 ) -> Result<Option<String>, PrioError> {
-    let Some((key, in_fmt, n, render)) = shared.cache.memo_get(tk) else {
-        return Ok(None);
-    };
+    let (key, in_fmt, n, render) = memo;
     let out_id = match request.output.as_deref() {
         Some(name) => match shared.registry.by_name(name) {
             Some(f) => f.id(),
@@ -332,8 +331,16 @@ fn prioritize_request(
         .as_deref()
         .or(shared.config.default_format.as_deref());
     let tk = text_key(format.unwrap_or("auto"), &request.workflow);
-    if let Some(line) = try_fast_path(shared, request, tk)? {
-        return Ok(line);
+    let memo = shared.cache.memo_get(tk);
+    // A rendered export is admitted to the cache only once its request
+    // text repeats: a never-seen text's cold render is usually never
+    // asked for again, and memoizing it would grow the daemon with the
+    // request rate rather than with the working set.
+    let seen = memo.is_some();
+    if let Some(memo) = memo {
+        if let Some(line) = try_fast_path(shared, request, memo)? {
+            return Ok(line);
+        }
     }
     let frontend = resolve_frontend(&shared.registry, format, &request.workflow)?;
     let workflow: Workflow = frontend.import(&request.workflow)?;
@@ -351,22 +358,21 @@ fn prioritize_request(
         Some((_, Some(text))) => (true, text),
         Some((order, None)) => {
             // The schedule is cached but this (metadata, output format)
-            // has not been rendered yet; render it once and memoize.
+            // has not been rendered yet: render it, and memoize the
+            // render if this text is a repeat.
             let text = render(&order);
-            shared
-                .cache
-                .note_rendered(key, rk, out.id(), Arc::clone(&text));
+            if seen {
+                shared
+                    .cache
+                    .note_rendered(key, rk, out.id(), Arc::clone(&text));
+            }
             (true, text)
         }
         None => {
             let result = Prioritizer::new().prioritize_workflow_in(&workflow, ctx)?;
             let order: crate::cache::CachedOrder = result.schedule.order().into();
             shared.cache.insert(key, order.clone());
-            let text = render(&order);
-            shared
-                .cache
-                .note_rendered(key, rk, out.id(), Arc::clone(&text));
-            (false, text)
+            (false, render(&order))
         }
     };
     shared.cache.memo_insert(tk, key, frontend.id(), n, rk);
@@ -381,7 +387,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             std::thread::sleep(shared.config.worker_delay);
         }
         let response = handle_prioritize(shared, &job.request, &mut ctx);
-        job.conn.send_line(&response);
+        job.conn.send_line(response);
         let micros = job.enqueued.elapsed().as_micros() as u64;
         prio_obs::histogram("serve.request.micros").record(micros);
     }
@@ -403,15 +409,15 @@ fn handle_line(
         Err(e) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             prio_obs::counter("serve.request.error").inc();
-            conn.send_line(&error_response(e.id.as_deref(), "request", &e.message));
+            conn.send_line(error_response(e.id.as_deref(), "request", &e.message));
             return;
         }
     };
     match request.verb {
-        Verb::Ping => conn.send_line(&ping_response(&request.id)),
-        Verb::Stats => conn.send_line(&stats_response(&request.id, &shared.stats())),
+        Verb::Ping => conn.send_line(ping_response(&request.id)),
+        Verb::Stats => conn.send_line(stats_response(&request.id, &shared.stats())),
         Verb::Shutdown => {
-            conn.send_line(&shutdown_response(&request.id));
+            conn.send_line(shutdown_response(&request.id));
             shared.begin_shutdown();
         }
         Verb::Prioritize => {
@@ -423,7 +429,7 @@ fn handle_line(
             if let Err(job) = shared.queue.push(job) {
                 shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
                 prio_obs::counter("serve.request.overloaded").inc();
-                job.conn.send_line(&overloaded_response(&job.request.id));
+                job.conn.send_line(overloaded_response(&job.request.id));
             }
         }
     }
@@ -494,7 +500,7 @@ fn read_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, reader: &mut impl BufRead) 
                 prio_obs::counter("serve.request.received").inc();
                 shared.counters.errors.fetch_add(1, Ordering::Relaxed);
                 prio_obs::counter("serve.request.error").inc();
-                conn.send_line(&error_response(
+                conn.send_line(error_response(
                     None,
                     "request",
                     &format!(
@@ -620,6 +626,9 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 prio_obs::counter("serve.conn.accepted").inc();
+                // A reply that spans several segments must not hold its
+                // tail back waiting for the client's (delayed) ACK.
+                let _ = stream.set_nodelay(true);
                 let Ok(write_half) = stream.try_clone() else {
                     continue;
                 };
@@ -852,5 +861,174 @@ mod tests {
         let stats = server.wait();
         assert_eq!(stats.ok, 1);
         assert_eq!(stats.received, 2);
+    }
+
+    /// A writer recording the bytes of every `write` call separately, so
+    /// a test can count how many calls each response line took.
+    #[derive(Clone, Default)]
+    struct CountingWriter(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_line_is_one_write() {
+        // A 100-job chain renders to several KiB, past the 1 KiB buffer of
+        // the `LineWriter` that `prio serve --stdio` writes through.
+        let chain: String = (0..100).map(|i| format!("j{i}\tj{}\n", i + 1)).collect();
+        let prioritize =
+            |id: String| crate::protocol::encode_request(&id, &chain, Some("edges"), None);
+        // One worker held busy per request and a 2-slot queue: of the six
+        // back-to-back prioritize lines at least one sheds `overloaded`.
+        let mut input = vec![
+            crate::protocol::encode_control("p", "ping"),
+            "this is not json".to_owned(),
+            crate::protocol::encode_request("bad", "JOB broken", Some("dagman"), None),
+        ];
+        input.extend((0..6).map(|i| prioritize(format!("r{i}"))));
+        input.push(crate::protocol::encode_control("s", "stats"));
+        let input = input.join("\n") + "\n";
+        let config = ServeConfig {
+            threads: 1,
+            queue_capacity: 2,
+            worker_delay: Duration::from_millis(25),
+            ..ServeConfig::default()
+        };
+        for line_buffered in [false, true] {
+            let writes = CountingWriter::default();
+            let writer: Box<dyn Write + Send> = if line_buffered {
+                Box::new(std::io::LineWriter::new(writes.clone()))
+            } else {
+                Box::new(writes.clone())
+            };
+            let stats = serve_streams(Cursor::new(input.clone()), writer, config.clone());
+            let writes = writes.0.lock().unwrap().clone();
+            assert_eq!(
+                writes.len() as u64,
+                stats.received,
+                "one write per response (line_buffered: {line_buffered})"
+            );
+            let mut kinds = std::collections::BTreeSet::new();
+            for write in &writes {
+                let line = std::str::from_utf8(write).unwrap();
+                assert!(line.ends_with('\n'), "{line:?}");
+                assert_eq!(line.matches('\n').count(), 1, "{line:?}");
+                let v = prio_obs::json::parse(line.trim_end()).unwrap();
+                kinds.insert(
+                    match get(&v, "id") {
+                        Some("p") => "ping",
+                        Some("s") => "stats",
+                        _ => get(&v, "status").unwrap(),
+                    }
+                    .to_owned(),
+                );
+            }
+            for kind in ["ok", "error", "overloaded", "ping", "stats"] {
+                assert!(kinds.contains(kind), "no {kind} response: {kinds:?}");
+            }
+        }
+    }
+
+    /// Sends one line and blocks on its reply: a closed-loop client.
+    fn round_trip(stream: &TcpStream, reader: &mut impl BufRead, line: &str) -> String {
+        let mut s = stream;
+        s.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn accepted_sockets_have_nodelay_set() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let pong = round_trip(
+            &stream,
+            &mut reader,
+            &crate::protocol::encode_control("p", "ping"),
+        );
+        assert!(pong.contains("\"status\":\"ok\""), "{pong}");
+        {
+            let streams = server.streams.lock().unwrap();
+            assert!(!streams.is_empty());
+            for s in streams.iter() {
+                assert!(s.nodelay().unwrap(), "accepted socket without TCP_NODELAY");
+            }
+        }
+        server.stop();
+        server.wait();
+    }
+
+    #[test]
+    fn renders_are_admitted_on_the_second_sighting() {
+        let config = ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let request = crate::protocol::encode_request("r", "a\tb\nb\tc\n", Some("edges"), None);
+        let mut sightings = Vec::new();
+        for _ in 0..3 {
+            let reply = round_trip(&stream, &mut reader, &request);
+            let v = prio_obs::json::parse(&reply).unwrap();
+            let cached = v
+                .get("cached")
+                .and_then(prio_obs::json::JsonValue::as_bool)
+                .unwrap();
+            let output = get(&v, "output").unwrap().to_owned();
+            sightings.push((reply, cached, output, server.stats().cache));
+        }
+        let order_bytes = (3 * std::mem::size_of::<prio_graph::NodeId>()
+            + crate::cache::ENTRY_OVERHEAD_BYTES) as u64;
+        // First sighting: a miss that caches the schedule order only.
+        let (_, cached, _, cache) = &sightings[0];
+        assert!(!cached);
+        assert_eq!(
+            cache.bytes, order_bytes,
+            "a cold render must not be charged"
+        );
+        // Second: a hit that renders and now memoizes the export.
+        let (_, cached, output, cache) = &sightings[1];
+        assert!(cached);
+        assert!(
+            cache.bytes >= order_bytes + output.len() as u64,
+            "{cache:?}"
+        );
+        // Third: the fast path replays identical bytes, charging nothing.
+        let (_, cached, _, third) = &sightings[2];
+        assert!(cached);
+        assert_eq!(third.bytes, cache.bytes);
+        assert_eq!(
+            sightings[0].0,
+            sightings[1]
+                .0
+                .replace("\"cached\":true", "\"cached\":false")
+        );
+        assert_eq!(sightings[1].0, sightings[2].0);
+        assert_eq!((third.hits, third.misses), (2, 1));
+        // A never-seen text with the same CSR hits the cached schedule
+        // and renders its own bytes, but is not admitted either.
+        let json = r#"{"jobs": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "c"]]}"#;
+        let reply = round_trip(
+            &stream,
+            &mut reader,
+            &crate::protocol::encode_request("j", json, Some("json"), None),
+        );
+        assert!(reply.contains("\"cached\":true"), "{reply}");
+        let cache = server.stats().cache;
+        assert_eq!((cache.hits, cache.misses), (3, 1));
+        assert_eq!(cache.bytes, third.bytes, "a first sighting is not admitted");
+        server.stop();
+        server.wait();
     }
 }

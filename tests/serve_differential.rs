@@ -1,8 +1,10 @@
 //! Differential tests: every response the daemon produces is
 //! byte-identical to the one-shot `prioritize_workflow_text` facade —
-//! for every workload family, every frontend format, a cold and a warm
-//! cache, and worker pools of 1 and 4 threads. A cache hit (or a
-//! text-memo fast-path replay) must never change a single byte.
+//! for every workload family, every frontend format, a cold cache and
+//! two warm sightings (the first renders and memoizes, the second replays
+//! through the text-memo fast path), and worker pools of 1 and 4
+//! threads. A cache hit or a fast-path replay must never change a single
+//! byte.
 
 use std::collections::BTreeMap;
 use std::io::{Cursor, Write};
@@ -76,9 +78,9 @@ fn input_text(workflow: &Workflow, format: &str) -> String {
 }
 
 /// The cold/warm differential at one (input text, format, thread count):
-/// a fresh daemon serves the same request twice; both responses must be
-/// byte-identical to the facade, and with a single worker exactly one of
-/// the two is served from cache.
+/// a fresh daemon serves the same request three times; every response
+/// must be byte-identical to the facade, and with a single worker exactly
+/// one of the first two is served from cache and the third replays.
 fn assert_cold_warm(label: &str, text: &str, format: &str, threads: usize) {
     let reference = dagprio::prioritize_workflow_text(text, None, Some(format))
         .unwrap_or_else(|e| panic!("{label}/{format}: facade failed: {e}"))
@@ -86,14 +88,15 @@ fn assert_cold_warm(label: &str, text: &str, format: &str, threads: usize) {
     let lines = vec![
         encode_request("cold", text, Some(format), None),
         encode_request("warm", text, Some(format), None),
+        encode_request("replay", text, Some(format), None),
     ];
     let config = ServeConfig {
         threads,
         ..ServeConfig::default()
     };
     let (by_id, stats) = run_session(&lines, config);
-    assert_eq!(by_id.len(), 2, "{label}/{format}/t{threads}");
-    for id in ["cold", "warm"] {
+    assert_eq!(by_id.len(), 3, "{label}/{format}/t{threads}");
+    for id in ["cold", "warm", "replay"] {
         let v = &by_id[id];
         assert_eq!(
             str_field(v, "status"),
@@ -124,15 +127,19 @@ fn assert_cold_warm(label: &str, text: &str, format: &str, threads: usize) {
             1,
             "{label}/{format}: exactly one of an identical pair is cached, got {cached:?}"
         );
+        assert!(
+            bool_field(&by_id["replay"], "cached"),
+            "{label}/{format}: the third sighting replays from cache"
+        );
         assert_eq!(
             (stats.cache.hits, stats.cache.misses),
-            (1, 1),
+            (2, 1),
             "{label}/{format}"
         );
     }
     assert_eq!(
         (stats.ok, stats.errors),
-        (2, 0),
+        (3, 0),
         "{label}/{format}/t{threads}"
     );
 }
@@ -211,15 +218,16 @@ fn cross_format_output_is_stable_cold_and_warm() {
         let lines = vec![
             encode_request("cold", &text, Some("edges"), Some(output)),
             encode_request("warm", &text, Some("edges"), Some(output)),
+            encode_request("replay", &text, Some("edges"), Some(output)),
         ];
         let (by_id, stats) = run_session(&lines, ServeConfig::default());
-        for id in ["cold", "warm"] {
+        for id in ["cold", "warm", "replay"] {
             let v = &by_id[id];
             assert_eq!(str_field(v, "status"), "ok", "{output}/{id}");
             assert_eq!(str_field(v, "format"), output, "{output}/{id}");
             assert_eq!(str_field(v, "output"), reference, "{output}/{id}");
         }
-        assert_eq!((stats.ok, stats.errors), (2, 0), "{output}");
+        assert_eq!((stats.ok, stats.errors), (3, 0), "{output}");
     }
 }
 
