@@ -8,11 +8,12 @@
 //! 2. Combine: naive quadratic selection vs the class-cached engine on
 //!    growing superdags of repeated component shapes.
 
-use prio_bench::report::{fmt_duration, Table};
+use prio_bench::report::fmt_duration;
 use prio_core::combine::{combine, CombineEngine};
 use prio_core::decompose::{decompose, DecomposeOptions};
 use prio_graph::reduction::transitive_reduction;
 use prio_graph::Dag;
+use prio_obs::report::Table;
 use prio_workloads::sdss::{sdss, SdssParams};
 use std::time::Instant;
 

@@ -13,9 +13,10 @@
 //! fringed-umbrella AIRSN (CP also pushes the handle early, but does not
 //! reason about *widths*, only depths).
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::baselines::{critical_path_schedule, random_schedule};
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::{compare_policies, GridModel, PolicySpec};
 use prio_workloads::airsn::airsn;

@@ -9,13 +9,13 @@
 //!   `100000` to cover only the cheap tier)
 //! * `--out FILE`   — output path (default `BENCH_obs.json`)
 //!
-//! Gate a run with `bench_check --obs-fresh FILE`: the traced (and
-//! sampled) producer-side wall time must stay within `--obs-budget`
-//! (default 1.10×) of the untraced run and the ring must drop nothing;
-//! the writer's drain time is recorded per row and guarded cross-run
-//! against the committed baseline.
+//! Gate a run with `bench_check FILE`: the traced (and sampled)
+//! producer-side wall time must stay within `--obs-budget` (default
+//! 1.10×) of the untraced run and the ring must drop nothing; the
+//! writer's drain time is recorded per row and guarded cross-run against
+//! the committed baseline.
 
-use prio_bench::obs_overhead;
+use prio_bench::{obs_overhead, record};
 use std::process::ExitCode;
 
 const DEFAULT_OUT: &str = "BENCH_obs.json";
@@ -48,28 +48,28 @@ fn main() -> ExitCode {
         i += 2;
     }
 
-    let bench = obs_overhead::measure(max_jobs, |label| {
+    let rows = obs_overhead::measure(max_jobs, |label| {
         eprintln!("bench_obs: measuring {label}");
     });
-    for row in &bench.rows {
+    for row in &rows {
+        let m = |name| row.metric(name);
         eprintln!(
             "bench_obs: {:<8} {:>8} jobs  untraced {:>13} ns  traced {:>13} ns ({:.3}x)  \
              sampled {:>13} ns ({:.3}x)  drain {:>13} ns ({} events)  dropped {}",
             row.workload,
             row.jobs,
-            row.untraced_ns,
-            row.traced_ns,
-            row.traced_ratio(),
-            row.sampled_ns,
-            row.sampled_ratio(),
-            row.drain_ns,
-            row.events,
-            row.dropped
+            m("untraced_ns"),
+            m("traced_ns"),
+            m("traced_ns") / m("untraced_ns").max(1.0),
+            m("sampled_ns"),
+            m("sampled_ns") / m("untraced_ns").max(1.0),
+            m("drain_ns"),
+            m("events"),
+            m("dropped")
         );
     }
-    let json = bench.to_json();
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("bench_obs: error: {out}: {e}");
+    if let Err(e) = record::save(&out, &rows) {
+        eprintln!("bench_obs: error: {e}");
         return ExitCode::from(2);
     }
     eprintln!("bench_obs: wrote {out}");

@@ -15,11 +15,10 @@
 //!   time-boxed front-half smoke run)
 //! * `--out FILE`   — output path (default `BENCH_scaling.json`)
 //!
-//! Compare a run against a committed baseline with
-//! `bench_check --scaling-fresh FILE`.
+//! Gate a run against the committed baseline with `bench_check FILE`.
 
-use prio_bench::mem::CountingAllocator;
-use prio_bench::scaling;
+use prio_bench::{record, scaling};
+use prio_obs::mem::CountingAllocator;
 use std::process::ExitCode;
 
 #[global_allocator]
@@ -70,23 +69,26 @@ fn main() -> ExitCode {
         i += consumed;
     }
 
-    let bench = scaling::measure(max_jobs, threads, parse_only, |label| {
+    let rows = scaling::measure(max_jobs, threads, parse_only, |label| {
         eprintln!("bench_scaling: measuring {label}");
     });
-    for row in &bench.rows {
-        let front_ns = if row.workload == "dagman_parse" {
-            ("parse", row.parse_ns)
+    for row in &rows {
+        let front = if row.workload == "dagman_parse" {
+            "parse"
         } else {
-            ("pipeline", row.pipeline_ns)
+            "pipeline"
         };
         eprintln!(
-            "bench_scaling: {:<12} {:>9} jobs  {} {:>13} ns  sim {:>13} ns  peak {:>13} B",
-            row.workload, row.jobs, front_ns.0, front_ns.1, row.sim_ns, row.peak_bytes
+            "bench_scaling: {:<12} {:>9} jobs  {front} {:>13} ns  sim {:>13} ns  peak {:>13} B",
+            row.workload,
+            row.jobs,
+            row.metric(&format!("{front}_ns")),
+            row.metric("sim_ns"),
+            row.metric("peak_bytes")
         );
     }
-    let json = bench.to_json();
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("bench_scaling: error: {out}: {e}");
+    if let Err(e) = record::save(&out, &rows) {
+        eprintln!("bench_scaling: error: {e}");
         return ExitCode::from(2);
     }
     eprintln!("bench_scaling: wrote {out}");

@@ -1,6 +1,5 @@
 //! Measures sustained daemon throughput and latency and writes
-//! `BENCH_serve.json` — the committed baseline `bench_check
-//! --serve-fresh` guards.
+//! `BENCH_serve.json` — the committed baseline `bench_check` guards.
 //!
 //! ```text
 //! cargo run -p prio-bench --release --bin bench_serve -- \
@@ -17,10 +16,12 @@
 //! as a table and writes the JSON to `--out` (default
 //! `BENCH_serve.json`). Exits 1 if any absolute floor (≥10k req/s
 //! sustained, bounded p99, closed-loop p99 ≤ 10 ms, hit ratio ≥ 0.90,
-//! zero errors) is violated,
-//! so CI never commits a baseline that fails its own gate.
+//! zero errors) is violated — the gate's in-run bounds, without a
+//! baseline — so CI never commits a baseline that fails its own gate.
 
-use prio_bench::serve::{check_floors, measure_best, ServeBenchOptions};
+use prio_bench::gate::{gate, Limits};
+use prio_bench::record;
+use prio_bench::serve::{measure_best, ServeBenchOptions};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -92,41 +93,51 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let bench = measure_best(&opts, repeat);
+    let row = measure_best(&opts, repeat);
+    let m = |name| row.metric(name);
     println!(
         "bench_serve: {} x {}-job {} dags, {} threads, offered {} req/s for {:.1}s",
-        bench.unique_dags,
-        bench.jobs,
-        bench.workload,
-        bench.threads,
-        bench.offered_rps,
-        bench.duration_ns as f64 / 1e9,
+        m("unique_dags"),
+        row.jobs,
+        row.workload,
+        row.threads,
+        m("offered_rps"),
+        m("duration_ns") / 1e9,
     );
     println!(
         "bench_serve: {} sent, {} ok, {} overloaded, {} errors",
-        bench.requests, bench.completed, bench.overloaded, bench.errors
+        m("requests"),
+        m("completed"),
+        m("overloaded"),
+        m("errors")
     );
     println!(
         "bench_serve: sustained {:.0} req/s, latency p50 {}us p90 {}us p99 {}us, hit ratio {:.3}",
-        bench.achieved_rps, bench.p50_us, bench.p90_us, bench.p99_us, bench.hit_ratio
+        m("achieved_rps"),
+        m("p50_us"),
+        m("p90_us"),
+        m("p99_us"),
+        m("hit_ratio")
     );
     println!(
         "bench_serve: closed loop (1 in flight) service time p50 {}us p99 {}us",
-        bench.closed_p50_us, bench.closed_p99_us
+        m("closed_p50_us"),
+        m("closed_p99_us")
     );
 
-    if let Err(e) = std::fs::write(&out, bench.to_json()) {
-        eprintln!("bench_serve: cannot write {out}: {e}");
+    let rows = [row];
+    if let Err(e) = record::save(&out, &rows) {
+        eprintln!("bench_serve: cannot write {e}");
         return ExitCode::from(2);
     }
     println!("bench_serve: wrote {out}");
 
     let mut failed = false;
-    for check in check_floors(&bench) {
+    for check in gate(&rows, None, Limits::default()) {
         if check.failed {
             eprintln!(
                 "bench_serve: FLOOR VIOLATED: {} = {:.1} (bound {:.1})",
-                check.name, check.value, check.bound
+                check.metric, check.value, check.bound
             );
             failed = true;
         }

@@ -11,8 +11,9 @@
 //! Usage: `fault_sweep [airsn-width]` (default 100). Writes
 //! `results/fault_sweep.txt`.
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::sweep::sweep_fault_rates;
 use prio_sim::{GridModel, PolicySpec, RetryPolicy};

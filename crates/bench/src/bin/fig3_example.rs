@@ -3,13 +3,13 @@
 //! DAGMan file gains one `VARS … jobpriority` line per job (job `c` gets
 //! the highest value, 5) and the JSDF gains `priority = $(jobpriority)`.
 
-use prio_bench::report::Table;
 use prio_core::optimal::{is_ic_optimal, DEFAULT_STATE_LIMIT};
 use prio_core::prio::prioritize;
 use prio_dagman::instrument::{instrument_dagman, priorities_by_job};
 use prio_dagman::jsdf::Jsdf;
 use prio_dagman::parse::parse_dagman;
 use prio_dagman::write::write_dagman;
+use prio_obs::report::Table;
 
 const IV_DAG: &str = "\
 JOB a a.submit

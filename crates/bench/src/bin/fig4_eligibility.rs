@@ -6,10 +6,10 @@
 //! summary shape checks (difference almost everywhere non-negative, large
 //! positive spike for AIRSN).
 
-use prio_bench::report::Table;
 use prio_core::fifo::fifo_schedule;
 use prio_core::prio::prioritize;
 use prio_core::schedule::profile_difference;
+use prio_obs::report::Table;
 use prio_workloads::paper_suite;
 use std::time::Instant;
 

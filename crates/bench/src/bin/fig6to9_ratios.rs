@@ -16,8 +16,9 @@
 //! Output: a TSV per dag under `results/` plus a console summary of the
 //! headline shape checks.
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::sweep::{paper_mu_bits, paper_mu_bss, sweep, SweepCell};
 use prio_sim::PolicySpec;

@@ -9,8 +9,9 @@
 //! priorities say nothing about job *lengths*, so a high-variance grid
 //! erodes (but does not invert) the gain.
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::{compare_policies, GridModel, PolicySpec};
 use prio_workloads::airsn::airsn;

@@ -13,8 +13,9 @@
 //! FIFO stream and the ratio climbs to 1 (at `maxjobs = 1` the priorities
 //! are inert).
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::{compare_policies, GridModel, PolicySpec};
 use prio_workloads::airsn::airsn;

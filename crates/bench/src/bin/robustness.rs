@@ -9,8 +9,9 @@
 //! ratios. Expected shape: PRIO's edge persists (failures delay both
 //! policies roughly proportionally) and erodes only slowly.
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::{compare_policies, GridModel, PolicySpec};
 use prio_workloads::airsn::airsn;

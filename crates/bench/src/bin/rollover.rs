@@ -8,8 +8,9 @@
 //! eligibility-maximizing objective matters *because* worker supply is
 //! perishable, exactly the paper's motivation.
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::{compare_policies, GridModel, PolicySpec};
 use prio_workloads::airsn::airsn;

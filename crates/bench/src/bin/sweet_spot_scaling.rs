@@ -13,8 +13,9 @@
 //!                    [--p N] [--q N] [--scales a,b,c]
 //! ```
 
-use prio_bench::report::{fmt_ci, Table};
+use prio_bench::report::fmt_ci;
 use prio_core::prio::prioritize;
+use prio_obs::report::Table;
 use prio_sim::replicate::ReplicationPlan;
 use prio_sim::sweep::{paper_mu_bss, sweep};
 use prio_sim::PolicySpec;

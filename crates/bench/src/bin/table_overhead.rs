@@ -8,9 +8,10 @@
 //! total down into the pipeline phases (reduce, decompose, schedule,
 //! combine, emit).
 
-use prio_bench::mem::{peak_since, reset_peak, CountingAllocator};
-use prio_bench::report::{fmt_bytes, fmt_duration, Table};
+use prio_bench::report::{fmt_bytes, fmt_duration};
 use prio_core::prio::prioritize;
+use prio_obs::mem::{peak_since, reset_peak, CountingAllocator};
+use prio_obs::report::Table;
 use prio_obs::span;
 use prio_workloads::paper_suite;
 use std::time::Duration;

@@ -1,6 +1,5 @@
 //! Observability-overhead measurement: traced-vs-untraced pipeline+sim
-//! wall time at the 10⁵/10⁶-job tiers, behind the `bench_obs` binary and
-//! the `bench_check --obs-fresh` regression gate.
+//! wall time at the 10⁵/10⁶-job tiers, behind the `bench_obs` binary.
 //!
 //! Each row measures the same Montage-tier dag three ways:
 //!
@@ -34,22 +33,20 @@
 //! end-to-end tests separately prove the *concurrent* production
 //! pipeline traces full-rate runs without dropping.
 //!
-//! The committed `BENCH_obs.json` is the contract. Rows serialize with a
-//! fixed key order and are matched by `(workload, jobs)` like the
-//! scaling rows, so a smoke run covering only the 10⁵ tier still checks
-//! against the committed file.
+//! The committed `BENCH_obs.json` is the contract. Rows are matched by
+//! `(workload, jobs)` like the scaling rows, so a smoke run covering only
+//! the 10⁵ tier still checks against the committed file.
 
-use crate::pipeline::MetricCheck;
+use crate::record::Row;
 use crate::scaling::montage_tier;
+use crate::{best_ns_interleaved_n, timed};
 use prio_core::prio::Prioritizer;
 use prio_graph::Dag;
-use prio_obs::json::{parse, JsonValue};
 use prio_obs::{JobSampler, JsonlSink, DEFAULT_RING_CAPACITY};
 use prio_sim::engine::{simulate, simulate_streamed};
 use prio_sim::model::GridModel;
 use prio_sim::trace_json::{event_pipeline_deferred, StreamingTraceWriter, DEFAULT_CHUNK_EVENTS};
 use prio_sim::PolicySpec;
-use std::time::Instant;
 
 /// The job-count tiers, smallest first. Only the big tiers matter here:
 /// per-event overhead is invisible under a small run's fixed costs.
@@ -61,56 +58,6 @@ pub const SAMPLE_MODULUS: u64 = 1_000;
 /// Same arrival process as the scaling rows.
 const SIM_SEED: u64 = 42;
 
-/// One `(workload, tier)` overhead row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsRow {
-    /// Dag family (currently always `"montage"`).
-    pub workload: String,
-    /// Jobs in the generated dag (close to, not exactly, the tier).
-    pub jobs: u64,
-    /// Timed iterations behind the best-of-N metrics.
-    pub iters: u64,
-    /// Best-of-N wall time of prioritize + simulate, untraced.
-    pub untraced_ns: u64,
-    /// Best-of-N wall time of prioritize + simulate streaming every
-    /// event into the (deferred-drain) trace pipeline: the producer-side
-    /// overhead the budget gates.
-    pub traced_ns: u64,
-    /// Best-of-N wall time with a 1/[`SAMPLE_MODULUS`] job sampler.
-    pub sampled_ns: u64,
-    /// Best-of-N wall time of the writer's one-pass drain of a full-rate
-    /// trace (JSON-encode every event, batch-write to the sink). Guarded
-    /// cross-run, not budget-gated — see the module docs.
-    pub drain_ns: u64,
-    /// Events in one full-rate trace of this dag (what `drain_ns`
-    /// drained).
-    pub events: u64,
-    /// Events the ring dropped across all traced iterations. Must be 0:
-    /// a drop here means the bench's ring was undersized for the trace.
-    pub dropped: u64,
-}
-
-impl ObsRow {
-    /// Traced-over-untraced wall-time ratio (the gated overhead).
-    pub fn traced_ratio(&self) -> f64 {
-        self.traced_ns as f64 / self.untraced_ns.max(1) as f64
-    }
-
-    /// Sampled-over-untraced wall-time ratio.
-    pub fn sampled_ratio(&self) -> f64 {
-        self.sampled_ns as f64 / self.untraced_ns.max(1) as f64
-    }
-}
-
-/// A full measurement: one row per tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsBench {
-    /// Metric name (`"best_of_n_wall_ns"`).
-    pub metric: String,
-    /// Rows in measurement order, smallest tier first.
-    pub rows: Vec<ObsRow>,
-}
-
 /// Best-of-11 keeps the full run near two minutes while giving the
 /// min estimator enough rounds to find quiet windows on a busy host —
 /// the gated metric is a ratio of two ~1.5 s measurements, and on a
@@ -121,27 +68,26 @@ fn iters_for(_jobs: usize) -> usize {
     11
 }
 
-fn timed(f: &mut dyn FnMut()) -> u64 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_nanos() as u64
-}
-
-/// Measures one dag untraced / traced / sampled. Returns the row.
+/// Measures one dag untraced / traced / sampled. Returns the row: the
+/// best-of-N `untraced_ns`, `traced_ns` and `sampled_ns` (producer side
+/// only — see the module docs), the best-of-N `drain_ns` of the
+/// full-rate trace, its `events`, and the events the ring `dropped`
+/// across all timed rounds (must be 0: a drop means the ring was
+/// undersized for the trace).
 ///
 /// The three configurations are *interleaved* round-robin (untraced,
 /// traced, sampled, repeat) rather than measured phase-by-phase: the
 /// gated metric is a ratio, and on a shared machine a slow patch hitting
 /// one whole phase would skew it. Interleaving spreads drift evenly
 /// across the configurations; best-of-N then discards the slow rounds.
-pub fn measure_dag(workload: &str, dag: &Dag) -> ObsRow {
+pub fn measure_dag(workload: &str, dag: &Dag) -> Row {
     let iters = iters_for(dag.num_nodes());
     let prio = Prioritizer::new();
     let model = GridModel::paper(1.0, 64.0);
     let schedule = prio.prioritize(dag).unwrap().schedule;
     let policy = PolicySpec::Oblivious(schedule);
 
-    let mut untraced = || {
+    let untraced = || {
         std::hint::black_box(prio.prioritize(dag).unwrap());
         std::hint::black_box(simulate(dag, &policy, &model, SIM_SEED));
     };
@@ -171,15 +117,15 @@ pub fn measure_dag(workload: &str, dag: &Dag) -> ObsRow {
         } else {
             StreamingTraceWriter::new(&pipeline, sampler)
         };
-        let t = Instant::now();
-        std::hint::black_box(prio.prioritize(dag).unwrap());
-        std::hint::black_box(simulate_streamed(
-            dag, &policy, &model, None, SIM_SEED, &writer,
-        ));
-        let producer_ns = t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let (_sink, stats, result) = pipeline.finish();
-        let drain_ns = t.elapsed().as_nanos() as u64;
+        let producer_ns = timed(|| {
+            std::hint::black_box(prio.prioritize(dag).unwrap());
+            std::hint::black_box(simulate_streamed(
+                dag, &policy, &model, None, SIM_SEED, &writer,
+            ));
+        });
+        let mut finished = None;
+        let drain_ns = timed(|| finished = Some(pipeline.finish()));
+        let (_sink, stats, result) = finished.expect("timed closure ran");
         result.expect("discarding sink never fails");
         (producer_ns, drain_ns, stats.enqueued, stats.dropped)
     };
@@ -195,36 +141,41 @@ pub fn measure_dag(workload: &str, dag: &Dag) -> ObsRow {
 
     let mut dropped = 0u64;
     let mut events = 0u64;
-    let (mut untraced_ns, mut traced_ns, mut sampled_ns, mut drain_ns) =
-        (u64::MAX, u64::MAX, u64::MAX, u64::MAX);
-    for _ in 0..iters {
-        untraced_ns = untraced_ns.min(timed(&mut untraced));
+    let mut drain_ns = u64::MAX;
+    let mut traced = || {
         let (producer, drain, enqueued, drops) =
             streamed(JobSampler::full_rate(), pool(full_events));
-        traced_ns = traced_ns.min(producer);
         drain_ns = drain_ns.min(drain);
         events = enqueued;
         dropped += drops;
-        let (producer, _, _, _) = streamed(JobSampler::new(SAMPLE_MODULUS), pool(sampled_events));
-        sampled_ns = sampled_ns.min(producer);
-    }
+        producer
+    };
+    let mut sampled = || streamed(JobSampler::new(SAMPLE_MODULUS), pool(sampled_events)).0;
+    let best = best_ns_interleaved_n(
+        &mut [&mut || timed(untraced), &mut traced, &mut sampled],
+        0,
+        iters,
+    );
 
-    ObsRow {
-        workload: workload.into(),
-        jobs: dag.num_nodes() as u64,
-        iters: iters as u64,
-        untraced_ns,
-        traced_ns,
-        sampled_ns,
-        drain_ns,
-        events,
-        dropped,
-    }
+    Row::new(
+        "obs",
+        workload,
+        dag.num_nodes() as u64,
+        dag.num_arcs() as u64,
+        0,
+        iters as u64,
+    )
+    .with("untraced_ns", best[0] as f64)
+    .with("traced_ns", best[1] as f64)
+    .with("sampled_ns", best[2] as f64)
+    .with("drain_ns", drain_ns as f64)
+    .with("events", events as f64)
+    .with("dropped", dropped as f64)
 }
 
 /// Runs every tier at or below `max_jobs` (None = all). `progress` is
 /// called before each row with a human-readable label.
-pub fn measure(max_jobs: Option<usize>, mut progress: impl FnMut(&str)) -> ObsBench {
+pub fn measure(max_jobs: Option<usize>, mut progress: impl FnMut(&str)) -> Vec<Row> {
     let mut rows = Vec::new();
     for &tier in &TIERS {
         if max_jobs.is_some_and(|cap| tier > cap) {
@@ -238,244 +189,12 @@ pub fn measure(max_jobs: Option<usize>, mut progress: impl FnMut(&str)) -> ObsBe
         ));
         rows.push(measure_dag("montage", &dag));
     }
-    ObsBench {
-        metric: "best_of_n_wall_ns".into(),
-        rows,
-    }
-}
-
-impl ObsRow {
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\"workload\": \"{}\", \"jobs\": {}, \"iters\": {}, \"untraced_ns\": {}, \"traced_ns\": {}, \"sampled_ns\": {}, \"drain_ns\": {}, \"events\": {}, \"dropped\": {}}}",
-            self.workload, self.jobs, self.iters, self.untraced_ns, self.traced_ns, self.sampled_ns, self.drain_ns, self.events, self.dropped,
-        )
-    }
-
-    fn from_json(v: &JsonValue) -> Result<ObsRow, String> {
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("row missing integer field {key:?}"))
-        };
-        Ok(ObsRow {
-            workload: v
-                .get("workload")
-                .and_then(JsonValue::as_str)
-                .ok_or("row missing string field \"workload\"")?
-                .to_owned(),
-            jobs: u("jobs")?,
-            iters: u("iters")?,
-            untraced_ns: u("untraced_ns")?,
-            traced_ns: u("traced_ns")?,
-            sampled_ns: u("sampled_ns")?,
-            drain_ns: u("drain_ns")?,
-            events: u("events")?,
-            dropped: u("dropped")?,
-        })
-    }
-}
-
-impl ObsBench {
-    /// Serializes in the committed `BENCH_obs.json` format: fixed key
-    /// order, one row per line.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.rows.iter().map(ObsRow::to_json).collect();
-        format!(
-            "{{\n  \"metric\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.metric,
-            rows.join(",\n")
-        )
-    }
-
-    /// Parses the `BENCH_obs.json` format (any key order).
-    pub fn from_json(text: &str) -> Result<ObsBench, String> {
-        let v = parse(text)?;
-        let metric = v
-            .get("metric")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing string field \"metric\"")?
-            .to_owned();
-        let rows = match v.get("rows") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(ObsRow::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing array field \"rows\"".into()),
-        };
-        Ok(ObsBench { metric, rows })
-    }
-
-    /// The row for a `(workload, jobs)` identity, if present.
-    pub fn row(&self, workload: &str, jobs: u64) -> Option<&ObsRow> {
-        self.rows
-            .iter()
-            .find(|r| r.workload == workload && r.jobs == jobs)
-    }
-}
-
-/// The overhead gate on one measurement: per row, the traced and sampled
-/// runs must finish within `budget × untraced` (the fresh run's own
-/// baseline — machine speed cancels out of the ratio), and the default
-/// ring must have dropped nothing. Returns one [`MetricCheck`] per gated
-/// metric; `baseline_ns` is the budget-scaled untraced time the fresh
-/// time is held to.
-pub fn check_overhead(bench: &ObsBench, budget: f64) -> Vec<(String, MetricCheck)> {
-    let mut checks = Vec::new();
-    for row in &bench.rows {
-        let label = format!("{}/{}", row.workload, row.jobs);
-        for (name, fresh_ns, ratio) in [
-            ("traced_overhead", row.traced_ns, row.traced_ratio()),
-            ("sampled_overhead", row.sampled_ns, row.sampled_ratio()),
-        ] {
-            checks.push((
-                label.clone(),
-                MetricCheck {
-                    name,
-                    baseline_ns: row.untraced_ns,
-                    fresh_ns,
-                    ratio,
-                    regressed: ratio > budget,
-                },
-            ));
-        }
-        checks.push((
-            label,
-            MetricCheck {
-                name: "dropped_events",
-                baseline_ns: 0,
-                fresh_ns: row.dropped,
-                ratio: row.dropped as f64,
-                regressed: row.dropped > 0,
-            },
-        ));
-    }
-    checks
-}
-
-/// Cross-run regression check against the committed baseline: rows are
-/// matched by `(workload, jobs)`; unmatched rows (smoke runs) are
-/// skipped. Uses the ordinary wall-time threshold, not the overhead
-/// budget — absolute times vary with the machine, ratios do not.
-pub fn compare_obs(
-    baseline: &ObsBench,
-    fresh: &ObsBench,
-    threshold: f64,
-) -> Vec<(String, MetricCheck)> {
-    let mut checks = Vec::new();
-    for f in &fresh.rows {
-        let Some(b) = baseline.row(&f.workload, f.jobs) else {
-            continue;
-        };
-        let label = format!("{}/{}", f.workload, f.jobs);
-        for (name, baseline_ns, fresh_ns) in [
-            ("untraced_ns", b.untraced_ns, f.untraced_ns),
-            ("traced_ns", b.traced_ns, f.traced_ns),
-            ("drain_ns", b.drain_ns, f.drain_ns),
-        ] {
-            let ratio = fresh_ns as f64 / baseline_ns.max(1) as f64;
-            checks.push((
-                label.clone(),
-                MetricCheck {
-                    name,
-                    baseline_ns,
-                    fresh_ns,
-                    ratio,
-                    regressed: ratio > threshold,
-                },
-            ));
-        }
-    }
-    checks
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> ObsBench {
-        ObsBench {
-            metric: "best_of_n_wall_ns".into(),
-            rows: vec![
-                ObsRow {
-                    workload: "montage".into(),
-                    jobs: 103_000,
-                    iters: 5,
-                    untraced_ns: 100_000_000,
-                    traced_ns: 105_000_000,
-                    sampled_ns: 101_000_000,
-                    drain_ns: 60_000_000,
-                    events: 500_000,
-                    dropped: 0,
-                },
-                ObsRow {
-                    workload: "montage".into(),
-                    jobs: 1_030_000,
-                    iters: 3,
-                    untraced_ns: 1_000_000_000,
-                    traced_ns: 1_080_000_000,
-                    sampled_ns: 1_020_000_000,
-                    drain_ns: 700_000_000,
-                    events: 5_000_000,
-                    dropped: 0,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let b = sample();
-        let back = ObsBench::from_json(&b.to_json()).unwrap();
-        assert_eq!(back, b);
-        assert_eq!(b.to_json(), back.to_json());
-    }
-
-    #[test]
-    fn missing_fields_are_errors() {
-        assert!(ObsBench::from_json("{}").is_err());
-        assert!(ObsBench::from_json("{\"metric\": \"m\"}").is_err());
-        assert!(ObsBench::from_json("{\"metric\": \"m\", \"rows\": [{}]}").is_err());
-    }
-
-    #[test]
-    fn overhead_gate_passes_within_budget_and_fails_beyond() {
-        let b = sample();
-        let checks = check_overhead(&b, 1.10);
-        assert_eq!(checks.len(), 6, "two rows × three gated metrics");
-        assert!(checks.iter().all(|(_, c)| !c.regressed));
-
-        let mut slow = sample();
-        slow.rows[1].traced_ns = slow.rows[1].untraced_ns * 2; // 2.0× > 1.10×
-        let checks = check_overhead(&slow, 1.10);
-        let failed: Vec<_> = checks.iter().filter(|(_, c)| c.regressed).collect();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].1.name, "traced_overhead");
-        assert_eq!(failed[0].0, "montage/1030000");
-    }
-
-    #[test]
-    fn any_dropped_event_fails_the_gate() {
-        let mut b = sample();
-        b.rows[0].dropped = 1;
-        let checks = check_overhead(&b, 1.10);
-        let failed: Vec<_> = checks.iter().filter(|(_, c)| c.regressed).collect();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].1.name, "dropped_events");
-    }
-
-    #[test]
-    fn compare_matches_rows_by_identity_and_skips_unmatched() {
-        let baseline = sample();
-        let mut fresh = sample();
-        fresh.rows.truncate(1); // smoke run: small tier only
-        fresh.rows[0].untraced_ns *= 3;
-        let checks = compare_obs(&baseline, &fresh, 2.0);
-        assert_eq!(checks.len(), 3, "one matched row × three metrics");
-        assert!(checks[0].1.regressed, "3× exceeds 2×");
-        assert!(!checks[1].1.regressed);
-        assert!(!checks[2].1.regressed);
-    }
 
     #[test]
     fn measure_dag_smoke() {
@@ -483,10 +202,22 @@ mod tests {
         // the three paths run and account drops.
         let dag = montage_tier(200);
         let row = measure_dag("montage", &dag);
-        assert_eq!(row.jobs, dag.num_nodes() as u64);
-        assert!(row.untraced_ns > 0 && row.traced_ns > 0 && row.sampled_ns > 0);
-        assert!(row.drain_ns > 0, "the deferred drain is a real phase");
-        assert!(row.events > 0, "a full-rate trace has events");
-        assert_eq!(row.dropped, 0, "default ring never drops at this scale");
+        assert_eq!(
+            (row.suite.as_str(), row.jobs),
+            ("obs", dag.num_nodes() as u64)
+        );
+        for metric in ["untraced_ns", "traced_ns", "sampled_ns"] {
+            assert!(row.metric(metric) > 0.0, "{metric}");
+        }
+        assert!(
+            row.metric("drain_ns") > 0.0,
+            "the deferred drain is a real phase"
+        );
+        assert!(row.metric("events") > 0.0, "a full-rate trace has events");
+        assert_eq!(
+            row.metric("dropped"),
+            0.0,
+            "default ring never drops at this scale"
+        );
     }
 }

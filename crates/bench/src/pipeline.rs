@@ -1,24 +1,20 @@
-//! Shared pipeline-throughput measurement: the library behind the
-//! `bench_pipeline` (measure and record) and `bench_check` (regression
-//! guard) binaries.
+//! Pipeline-throughput measurement, behind the `bench_pipeline` binary.
 //!
 //! The measurement times the PRIO pipeline on a Montage-like dag (~1k
 //! jobs) in three configurations — single-shot, context reuse, threaded
 //! Step 3 — interleaved round-robin so background load biases no variant,
 //! reporting best-of-N wall time. A second tier times each frontend's
 //! parser (DAGMan vs JSON vs edge list) importing the same ~10^5-job
-//! Montage-like workflow. [`PipelineBench::to_json`] serializes with a
-//! **fixed key order** ([`KEY_ORDER`]) so the committed
-//! `BENCH_pipeline.json` diffs cleanly run to run; [`PipelineBench::from_json`]
-//! reads it back (key order independent), and [`compare`] checks a fresh
-//! measurement against a committed baseline under a slowdown threshold.
+//! Montage-like workflow. Both tiers land in one `pipeline` [`Row`]; the
+//! parse tier's size and rounds are its `parse_jobs` and `parse_iters`
+//! metrics.
 
+use crate::record::Row;
+use crate::{best_ns_interleaved_n, timed};
 use prio_core::prio::{PrioOptions, Prioritizer};
 use prio_core::PrioContext;
 use prio_ir::{FormatId, Workflow};
-use prio_obs::json::{parse, JsonValue};
 use prio_workloads::montage::{montage, MontageParams};
-use std::time::Instant;
 
 /// Warm-up rounds before timing starts.
 pub const WARMUP: usize = 3;
@@ -32,97 +28,15 @@ pub const PARSE_WARMUP: usize = 1;
 /// Timed rounds for the parse tier.
 pub const PARSE_ITERS: usize = 5;
 
-/// The serialized keys, in the exact order [`PipelineBench::to_json`]
-/// emits them.
-pub const KEY_ORDER: [&str; 14] = [
-    "workload",
-    "jobs",
-    "arcs",
-    "iters",
-    "metric",
-    "single_shot_ns",
-    "context_reuse_ns",
-    "threaded_4_ns",
-    "reuse_speedup",
-    "parse_jobs",
-    "parse_iters",
-    "parse_dagman_ns",
-    "parse_json_ns",
-    "parse_edges_ns",
-];
-
-/// One pipeline-throughput measurement (or a parsed committed baseline).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineBench {
-    /// Workload family name (`"montage"`).
-    pub workload: String,
-    /// Jobs in the measured dag.
-    pub jobs: u64,
-    /// Arcs in the measured dag.
-    pub arcs: u64,
-    /// Timed iterations behind the best-of-N metric.
-    pub iters: u64,
-    /// Metric name (`"best_of_n_wall_ns"`).
-    pub metric: String,
-    /// Best-of-N wall time, fresh scratch each run.
-    pub single_shot_ns: u64,
-    /// Best-of-N wall time reusing one [`PrioContext`].
-    pub context_reuse_ns: u64,
-    /// Best-of-N wall time with the 4-thread Step 3.
-    pub threaded_4_ns: u64,
-    /// `single_shot_ns / context_reuse_ns`.
-    pub reuse_speedup: f64,
-    /// Jobs in the parse-tier workflow (~10^5 Montage-like).
-    pub parse_jobs: u64,
-    /// Timed iterations behind the parse-tier best-of-N metrics.
-    pub parse_iters: u64,
-    /// Best-of-N wall time importing the parse-tier workflow as DAGMan.
-    pub parse_dagman_ns: u64,
-    /// Best-of-N wall time importing it as prio-workflow-v1 JSON.
-    pub parse_json_ns: u64,
-    /// Best-of-N wall time importing it as a TSV edge list.
-    pub parse_edges_ns: u64,
-}
-
-/// Best-of-N wall time for each closure, in nanoseconds. One iteration of
-/// every variant runs per round (round-robin), so clock drift and
-/// background load hit all variants alike instead of biasing whichever
-/// happened to run first.
-fn best_ns_interleaved(fs: &mut [&mut dyn FnMut()]) -> Vec<u128> {
-    best_ns_interleaved_n(fs, WARMUP, ITERS)
-}
-
-/// [`best_ns_interleaved`] with caller-chosen round counts, for tiers
-/// whose single iteration is expensive (the 10^5-job parse tier).
-fn best_ns_interleaved_n(fs: &mut [&mut dyn FnMut()], warmup: usize, iters: usize) -> Vec<u128> {
-    for _ in 0..warmup {
-        for f in fs.iter_mut() {
-            f();
-        }
-    }
-    let mut best = vec![u128::MAX; fs.len()];
-    for _ in 0..iters {
-        for (f, best) in fs.iter_mut().zip(&mut best) {
-            let t = Instant::now();
-            f();
-            let ns = t.elapsed().as_nanos();
-            if ns < *best {
-                *best = ns;
-            }
-        }
-    }
-    best
-}
-
 /// Runs the measurement on the standard Montage-like dag, with the parse
 /// tier at [`PARSE_TARGET_JOBS`].
-pub fn measure() -> PipelineBench {
+pub fn measure() -> Row {
     measure_with_parse_target(PARSE_TARGET_JOBS)
 }
 
 /// [`measure`] with a caller-chosen parse-tier size (tests use a small
 /// one; the committed baseline always uses [`PARSE_TARGET_JOBS`]).
-pub fn measure_with_parse_target(parse_target: usize) -> PipelineBench {
+pub fn measure_with_parse_target(parse_target: usize) -> Row {
     let dag = montage(MontageParams::scaled(0.13));
     let serial = Prioritizer::new();
     let threaded_prio = Prioritizer::with_options(PrioOptions {
@@ -133,41 +47,57 @@ pub fn measure_with_parse_target(parse_target: usize) -> PipelineBench {
     let mut tctx = PrioContext::new();
 
     let mut run_single = || {
-        serial.prioritize(&dag).unwrap();
+        timed(|| {
+            serial.prioritize(&dag).unwrap();
+        })
     };
     let mut run_reuse = || {
-        serial.prioritize_in(&dag, &mut ctx).unwrap();
+        timed(|| {
+            serial.prioritize_in(&dag, &mut ctx).unwrap();
+        })
     };
     let mut run_threaded = || {
-        threaded_prio.prioritize_in(&dag, &mut tctx).unwrap();
+        timed(|| {
+            threaded_prio.prioritize_in(&dag, &mut tctx).unwrap();
+        })
     };
-    let best = best_ns_interleaved(&mut [&mut run_single, &mut run_reuse, &mut run_threaded]);
-    let (single_shot, context_reuse, threaded) = (best[0], best[1], best[2]);
+    let best = best_ns_interleaved_n(
+        &mut [&mut run_single, &mut run_reuse, &mut run_threaded],
+        WARMUP,
+        ITERS,
+    );
+    let (single_shot, context_reuse) = (best[0], best[1]);
     let (parse_jobs, parse_best) = measure_parse_tier(parse_target);
 
-    PipelineBench {
-        workload: "montage".into(),
-        jobs: dag.num_nodes() as u64,
-        arcs: dag.num_arcs() as u64,
-        iters: ITERS as u64,
-        metric: "best_of_n_wall_ns".into(),
-        single_shot_ns: single_shot as u64,
-        context_reuse_ns: context_reuse as u64,
-        threaded_4_ns: threaded as u64,
-        reuse_speedup: single_shot as f64 / context_reuse.max(1) as f64,
-        parse_jobs,
-        parse_iters: PARSE_ITERS as u64,
-        parse_dagman_ns: parse_best[0] as u64,
-        parse_json_ns: parse_best[1] as u64,
-        parse_edges_ns: parse_best[2] as u64,
-    }
+    // Threads 0: the row's configurations are serial except the one its
+    // `threaded_4_ns` name gives a thread count.
+    Row::new(
+        "pipeline",
+        "montage",
+        dag.num_nodes() as u64,
+        dag.num_arcs() as u64,
+        0,
+        ITERS as u64,
+    )
+    .with("single_shot_ns", single_shot as f64)
+    .with("context_reuse_ns", context_reuse as f64)
+    .with("threaded_4_ns", best[2] as f64)
+    .with(
+        "reuse_speedup",
+        single_shot as f64 / context_reuse.max(1) as f64,
+    )
+    .with("parse_jobs", parse_jobs as f64)
+    .with("parse_iters", PARSE_ITERS as f64)
+    .with("parse_dagman_ns", parse_best[0] as f64)
+    .with("parse_json_ns", parse_best[1] as f64)
+    .with("parse_edges_ns", parse_best[2] as f64)
 }
 
 /// Times each frontend importing the same ~10^5-job Montage-like workflow
 /// (exported once per format beforehand), interleaved like the pipeline
 /// tier. Returns the job count and best-of-N per format in
 /// dagman/json/edges order.
-fn measure_parse_tier(target: usize) -> (u64, Vec<u128>) {
+fn measure_parse_tier(target: usize) -> (u64, Vec<u64>) {
     let wf = Workflow::synthetic(crate::scaling::montage_tier(target));
     let reg = prio_dagman::registry();
     let texts: Vec<(FormatId, String)> = [FormatId::Dagman, FormatId::Json, FormatId::Edges]
@@ -177,226 +107,26 @@ fn measure_parse_tier(target: usize) -> (u64, Vec<u128>) {
             (id, f.export(&wf, wf.priorities()))
         })
         .collect();
-    let mut runs: Vec<Box<dyn FnMut()>> = texts
+    let mut runs: Vec<Box<dyn FnMut() -> u64>> = texts
         .iter()
         .map(|(id, text)| {
             let f = reg.get(*id).expect("builtin frontend registered");
             Box::new(move || {
-                std::hint::black_box(f.import(text).expect("own export re-imports"));
-            }) as Box<dyn FnMut()>
+                timed(|| {
+                    std::hint::black_box(f.import(text).expect("own export re-imports"));
+                })
+            }) as Box<dyn FnMut() -> u64>
         })
         .collect();
-    let mut fs: Vec<&mut dyn FnMut()> = runs.iter_mut().map(|f| f.as_mut() as _).collect();
+    let mut fs: Vec<&mut dyn FnMut() -> u64> = runs.iter_mut().map(|f| f.as_mut() as _).collect();
     let best = best_ns_interleaved_n(&mut fs, PARSE_WARMUP, PARSE_ITERS);
     (wf.num_jobs() as u64, best)
-}
-
-impl PipelineBench {
-    /// Serializes in the committed `BENCH_pipeline.json` format: keys in
-    /// [`KEY_ORDER`], one per line, trailing newline — byte-deterministic
-    /// for identical measurements.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"arcs\": {},\n  \"iters\": {},\n  \"metric\": \"{}\",\n  \"single_shot_ns\": {},\n  \"context_reuse_ns\": {},\n  \"threaded_4_ns\": {},\n  \"reuse_speedup\": {:.4},\n  \"parse_jobs\": {},\n  \"parse_iters\": {},\n  \"parse_dagman_ns\": {},\n  \"parse_json_ns\": {},\n  \"parse_edges_ns\": {}\n}}\n",
-            self.workload,
-            self.jobs,
-            self.arcs,
-            self.iters,
-            self.metric,
-            self.single_shot_ns,
-            self.context_reuse_ns,
-            self.threaded_4_ns,
-            self.reuse_speedup,
-            self.parse_jobs,
-            self.parse_iters,
-            self.parse_dagman_ns,
-            self.parse_json_ns,
-            self.parse_edges_ns,
-        )
-    }
-
-    /// Parses the `BENCH_pipeline.json` format (any key order).
-    pub fn from_json(text: &str) -> Result<PipelineBench, String> {
-        let v = parse(text)?;
-        if !v.is_object() {
-            return Err("expected a JSON object".into());
-        }
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing integer field {key:?}"))
-        };
-        Ok(PipelineBench {
-            workload: s("workload")?,
-            jobs: u("jobs")?,
-            arcs: u("arcs")?,
-            iters: u("iters")?,
-            metric: s("metric")?,
-            single_shot_ns: u("single_shot_ns")?,
-            context_reuse_ns: u("context_reuse_ns")?,
-            threaded_4_ns: u("threaded_4_ns")?,
-            reuse_speedup: v
-                .get("reuse_speedup")
-                .and_then(JsonValue::as_f64)
-                .ok_or("missing number field \"reuse_speedup\"")?,
-            parse_jobs: u("parse_jobs")?,
-            parse_iters: u("parse_iters")?,
-            parse_dagman_ns: u("parse_dagman_ns")?,
-            parse_json_ns: u("parse_json_ns")?,
-            parse_edges_ns: u("parse_edges_ns")?,
-        })
-    }
-
-    /// The timed metrics by name, in serialization order. `compare` (and
-    /// therefore `bench_check`) guards every entry, so the per-frontend
-    /// parse tier is covered automatically.
-    pub fn metrics(&self) -> [(&'static str, u64); 6] {
-        [
-            ("single_shot_ns", self.single_shot_ns),
-            ("context_reuse_ns", self.context_reuse_ns),
-            ("threaded_4_ns", self.threaded_4_ns),
-            ("parse_dagman_ns", self.parse_dagman_ns),
-            ("parse_json_ns", self.parse_json_ns),
-            ("parse_edges_ns", self.parse_edges_ns),
-        ]
-    }
-}
-
-/// One metric's baseline-vs-fresh verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricCheck {
-    /// Metric name (`single_shot_ns`, …).
-    pub name: &'static str,
-    /// Committed baseline, nanoseconds.
-    pub baseline_ns: u64,
-    /// Fresh measurement, nanoseconds.
-    pub fresh_ns: u64,
-    /// `fresh / baseline`.
-    pub ratio: f64,
-    /// Whether the ratio exceeds the threshold.
-    pub regressed: bool,
-}
-
-/// Compares a fresh measurement against a committed baseline: a metric
-/// regresses when `fresh > baseline × threshold`. Returns one verdict per
-/// metric; the caller fails when any is regressed.
-pub fn compare(
-    baseline: &PipelineBench,
-    fresh: &PipelineBench,
-    threshold: f64,
-) -> Vec<MetricCheck> {
-    baseline
-        .metrics()
-        .iter()
-        .zip(fresh.metrics().iter())
-        .map(|(&(name, baseline_ns), &(_, fresh_ns))| {
-            let ratio = fresh_ns as f64 / baseline_ns.max(1) as f64;
-            MetricCheck {
-                name,
-                baseline_ns,
-                fresh_ns,
-                ratio,
-                regressed: ratio > threshold,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> PipelineBench {
-        PipelineBench {
-            workload: "montage".into(),
-            jobs: 1033,
-            arcs: 2044,
-            iters: 40,
-            metric: "best_of_n_wall_ns".into(),
-            single_shot_ns: 622_366,
-            context_reuse_ns: 611_205,
-            threaded_4_ns: 729_699,
-            reuse_speedup: 1.0183,
-            parse_jobs: 100_003,
-            parse_iters: 5,
-            parse_dagman_ns: 31_000_000,
-            parse_json_ns: 54_000_000,
-            parse_edges_ns: 22_000_000,
-        }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let b = sample();
-        let back = PipelineBench::from_json(&b.to_json()).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn key_order_is_deterministic() {
-        let json = sample().to_json();
-        // Every key appears exactly once, in KEY_ORDER.
-        let mut last = 0;
-        for key in KEY_ORDER {
-            let needle = format!("\"{key}\":");
-            let pos = json
-                .find(&needle)
-                .unwrap_or_else(|| panic!("missing {key}"));
-            assert!(pos > last, "{key} out of order in {json}");
-            assert_eq!(json.rfind(&needle), Some(pos), "{key} appears twice");
-            last = pos;
-        }
-        // Byte-identical for identical measurements.
-        assert_eq!(json, sample().to_json());
-    }
-
-    #[test]
-    fn committed_baseline_format_parses() {
-        // The exact shape committed at the repository root.
-        let committed = "{\n  \"workload\": \"montage\",\n  \"jobs\": 1033,\n  \"arcs\": 2044,\n  \"iters\": 40,\n  \"metric\": \"best_of_n_wall_ns\",\n  \"single_shot_ns\": 622366,\n  \"context_reuse_ns\": 611205,\n  \"threaded_4_ns\": 729699,\n  \"reuse_speedup\": 1.0183,\n  \"parse_jobs\": 100003,\n  \"parse_iters\": 5,\n  \"parse_dagman_ns\": 31000000,\n  \"parse_json_ns\": 54000000,\n  \"parse_edges_ns\": 22000000\n}\n";
-        let b = PipelineBench::from_json(committed).unwrap();
-        assert_eq!(b, sample());
-        assert_eq!(
-            b.to_json(),
-            committed,
-            "writer reproduces the committed bytes"
-        );
-    }
-
-    #[test]
-    fn missing_fields_are_errors() {
-        assert!(PipelineBench::from_json("{}").is_err());
-        assert!(PipelineBench::from_json("[1]").is_err());
-        assert!(PipelineBench::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn compare_flags_only_threshold_breaches() {
-        let baseline = sample();
-        let mut fresh = sample();
-        fresh.single_shot_ns = baseline.single_shot_ns * 3; // 3× slower
-        fresh.context_reuse_ns = baseline.context_reuse_ns; // unchanged
-        fresh.threaded_4_ns = baseline.threaded_4_ns / 2; // faster
-        let checks = compare(&baseline, &fresh, 2.0);
-        assert_eq!(checks.len(), 6);
-        assert!(checks[0].regressed, "3× exceeds a 2× threshold");
-        assert!(!checks[1].regressed);
-        assert!(!checks[2].regressed, "speedups never regress");
-        assert!((checks[0].ratio - 3.0).abs() < 1e-9);
-        // The parse tier is guarded by the same comparison.
-        let mut fresh = sample();
-        fresh.parse_json_ns = baseline.parse_json_ns * 3;
-        let checks = compare(&baseline, &fresh, 2.0);
-        assert!(checks
-            .iter()
-            .any(|c| c.name == "parse_json_ns" && c.regressed));
-    }
+    use crate::gate::{gate, Limits};
 
     #[test]
     fn measurement_smoke_is_consistent() {
@@ -404,13 +134,25 @@ mod tests {
         // measurement runs and produces internally consistent fields. The
         // parse tier is shrunk so the debug-mode test stays fast.
         let b = measure_with_parse_target(2_000);
-        assert_eq!(b.workload, "montage");
-        assert!(b.jobs > 0 && b.arcs > 0);
-        assert!(b.single_shot_ns > 0 && b.context_reuse_ns > 0 && b.threaded_4_ns > 0);
-        let expected = b.single_shot_ns as f64 / b.context_reuse_ns.max(1) as f64;
-        assert!((b.reuse_speedup - expected).abs() < 1e-9);
-        assert!(b.parse_jobs as usize >= 2_000);
-        assert!(b.parse_dagman_ns > 0 && b.parse_json_ns > 0 && b.parse_edges_ns > 0);
-        PipelineBench::from_json(&b.to_json()).unwrap();
+        assert_eq!(
+            (b.suite.as_str(), b.workload.as_str()),
+            ("pipeline", "montage")
+        );
+        assert!(b.jobs > 0 && b.arcs > 0 && b.host_cores > 0);
+        for metric in ["single_shot_ns", "context_reuse_ns", "threaded_4_ns"] {
+            assert!(b.metric(metric) > 0.0, "{metric}");
+        }
+        let expected = b.metric("single_shot_ns") / b.metric("context_reuse_ns").max(1.0);
+        assert!((b.metric("reuse_speedup") - expected).abs() < 1e-9);
+        assert!(b.metric("parse_jobs") >= 2_000.0);
+        for metric in ["parse_dagman_ns", "parse_json_ns", "parse_edges_ns"] {
+            assert!(b.metric(metric) > 0.0, "{metric}");
+        }
+        // Every gated pipeline metric is present: the row gates against
+        // itself with no failure.
+        let rows = [b];
+        let checks = gate(&rows, Some(&rows), Limits::default());
+        assert_eq!(checks.len(), 6);
+        assert!(checks.iter().all(|c| !c.failed), "{checks:?}");
     }
 }

@@ -1,76 +1,5 @@
-//! Plain-text table and TSV rendering for experiment outputs.
-
-use std::fmt::Write as _;
-
-/// A simple column-aligned text table.
-#[derive(Debug, Default, Clone)]
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Table {
-        Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row (must match the header length).
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row width mismatch");
-        self.rows.push(cells);
-    }
-
-    /// Renders with space-aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        // Widths in chars, not bytes: cells may hold non-ASCII (µ,
-        // sparkline blocks) and `format!` pads by char count.
-        let mut width = vec![0usize; cols];
-        for (i, h) in self.header.iter().enumerate() {
-            width[i] = h.chars().count();
-        }
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                width[i] = width[i].max(c.chars().count());
-            }
-        }
-        let mut out = String::new();
-        let emit = |out: &mut String, cells: &[String]| {
-            for (i, c) in cells.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                let _ = write!(out, "{c:<w$}", w = width[i]);
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        };
-        emit(&mut out, &self.header);
-        let rule: Vec<String> = width.iter().map(|&w| "-".repeat(w)).collect();
-        emit(&mut out, &rule);
-        for row in &self.rows {
-            emit(&mut out, row);
-        }
-        out
-    }
-
-    /// Renders as tab-separated values (for downstream plotting).
-    pub fn render_tsv(&self) -> String {
-        let mut out = self.header.join("\t");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
-}
+//! Number formatting for experiment outputs; their tables are
+//! [`prio_obs::report::Table`].
 
 /// Formats an optional confidence interval as `median [lo, hi]` or `-`.
 pub fn fmt_ci(ci: &Option<prio_stats::ConfidenceInterval>) -> String {
@@ -111,33 +40,6 @@ pub fn fmt_bytes(b: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_alignment() {
-        let mut t = Table::new(&["name", "value"]);
-        t.row(vec!["a".into(), "1".into()]);
-        t.row(vec!["longer".into(), "22".into()]);
-        let r = t.render();
-        let lines: Vec<&str> = r.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("name"));
-        assert!(lines[1].starts_with("----"));
-        assert!(lines[3].starts_with("longer"));
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn row_width_checked() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["only one".into()]);
-    }
-
-    #[test]
-    fn tsv_rendering() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.render_tsv(), "x\ty\n1\t2\n");
-    }
 
     #[test]
     fn human_units() {

@@ -1,7 +1,6 @@
 //! Scaling measurement: pipeline and simulator wall time plus peak
 //! allocator bytes at the 10³–10⁷ job tiers — and DAGMan parse + CSR
-//! build at 10⁷ — behind the `bench_scaling` binary and the
-//! `bench_check --scaling-fresh` regression guard.
+//! build at 10⁷ — behind the `bench_scaling` binary.
 //!
 //! Two dag families per pipeline tier: a Montage-like dag (the paper's
 //! structure, scaled to the tier's job count) and a layered random dag
@@ -11,19 +10,18 @@
 //! generated DAGMan file pushed through [`parse_dagman_threads`] and
 //! [`DagmanFile::to_dag`](prio_dagman::DagmanFile::to_dag), the path
 //! `prio instrument`, `prio batch` and the facade run with `--threads`.
-//! Rows serialize to `BENCH_scaling.json` with a fixed key order, and
-//! rows from two files are compared by their `(workload, jobs)`
-//! identity, so a smoke run covering only the small tiers can still be
-//! checked against a committed full run. Peak bytes are additionally
-//! gated by [`compare_scaling_memory`] so the committed peaks double as
-//! memory budgets.
+//! Every row carries the same metrics, 0 where one does not apply
+//! (`parse_ns` on a pipeline row, the pipeline and stage times on a
+//! parse row); the gate matches rows by `(workload, jobs)`, so a smoke
+//! run covering only the small tiers still checks against a committed
+//! full run, and the committed peaks double as memory budgets.
 
-use crate::mem;
-use crate::pipeline::MetricCheck;
+use crate::record::Row;
+use crate::{best_ns_interleaved_n, timed};
 use prio_core::prio::{PrioOptions, Prioritizer};
 use prio_dagman::parse_dagman_threads;
 use prio_graph::Dag;
-use prio_obs::json::{parse, JsonValue};
+use prio_obs::mem;
 use prio_sim::engine::simulate;
 use prio_sim::model::GridModel;
 use prio_sim::PolicySpec;
@@ -31,7 +29,6 @@ use prio_workloads::montage::{montage, MontageParams};
 use prio_workloads::random_dag::{layered, LayeredParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// The full-pipeline job-count tiers, smallest first.
 pub const TIERS: [usize; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
@@ -52,53 +49,6 @@ const LAYER_WIDTH: usize = 100;
 /// arrival process.
 const DAG_SEED: u64 = 0x5CA1_AB1E;
 const SIM_SEED: u64 = 42;
-
-/// One `(workload, tier)` measurement row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingRow {
-    /// Dag family: `"montage"` or `"layered"`.
-    pub workload: String,
-    /// Jobs in the generated dag (close to, not exactly, the tier).
-    pub jobs: u64,
-    /// Arcs in the generated dag.
-    pub arcs: u64,
-    /// Timed iterations behind the best-of-N metrics.
-    pub iters: u64,
-    /// Best-of-N wall time of one full PRIO pipeline run.
-    pub pipeline_ns: u64,
-    /// Best-of-N wall time of one simulated execution under the PRIO
-    /// schedule.
-    pub sim_ns: u64,
-    /// Peak bytes allocated above the pre-run baseline across one
-    /// pipeline + simulation run (needs the binary to install
-    /// [`mem::CountingAllocator`]; 0 when it is not installed).
-    pub peak_bytes: u64,
-    /// Worker threads the measurement ran with (0 = serial).
-    pub threads: u64,
-    /// Best-of-N wall time of DAGMan parse + CSR build (`"dagman_parse"`
-    /// rows only; 0 elsewhere).
-    pub parse_ns: u64,
-    /// Wall time of the reduce stage in one pipeline run (0 for parse
-    /// rows).
-    pub reduce_ns: u64,
-    /// Wall time of the decompose stage in one pipeline run.
-    pub decompose_ns: u64,
-    /// Wall time of the schedule stage in one pipeline run.
-    pub schedule_ns: u64,
-    /// Wall time of the combine stage in one pipeline run.
-    pub combine_ns: u64,
-    /// Wall time of the emit stage in one pipeline run.
-    pub emit_ns: u64,
-}
-
-/// A full measurement: the metric name and one row per workload × tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingBench {
-    /// Metric name (`"best_of_n_wall_ns"`).
-    pub metric: String,
-    /// Rows, in measurement order (tier-major, montage before layered).
-    pub rows: Vec<ScalingRow>,
-}
 
 /// Fewer timed iterations at the larger tiers: the 10⁶-job pipeline runs
 /// near a second, best-of-2 is stable enough there, and the 10⁷ tier is
@@ -183,38 +133,41 @@ pub fn dagman_text_tier(target: usize) -> String {
     text
 }
 
-fn best_ns(iters: usize, f: &mut dyn FnMut()) -> u64 {
-    f(); // warm-up
-    let mut best = u128::MAX;
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_nanos());
-    }
-    best as u64
-}
-
 /// Measures one dag: pipeline wall time, simulated-execution wall time
 /// under the resulting schedule, the allocator peak of one combined run,
 /// and the per-stage wall breakdown of that run (from the pipeline's
 /// stage spans).
-pub fn measure_dag(workload: &str, dag: &Dag, threads: usize) -> ScalingRow {
+pub fn measure_dag(workload: &str, dag: &Dag, threads: usize) -> Row {
     let iters = iters_for(dag.num_nodes());
     let prio = Prioritizer::with_options(PrioOptions {
         threads,
         ..PrioOptions::default()
     });
     let model = GridModel::paper(1.0, 64.0);
-
-    let pipeline_ns = best_ns(iters, &mut || {
-        std::hint::black_box(prio.prioritize(dag).unwrap());
-    });
-
     let schedule = prio.prioritize(dag).unwrap().schedule;
     let policy = PolicySpec::Oblivious(schedule);
-    let sim_ns = best_ns(iters, &mut || {
-        std::hint::black_box(simulate(dag, &policy, &model, SIM_SEED));
-    });
+
+    // Measured one after the other, each with its own warm-up round:
+    // interleaved, every simulation would start with the caches the
+    // pipeline run left behind.
+    let pipeline_ns = best_ns_interleaved_n(
+        &mut [&mut || {
+            timed(|| {
+                std::hint::black_box(prio.prioritize(dag).unwrap());
+            })
+        }],
+        1,
+        iters,
+    )[0];
+    let sim_ns = best_ns_interleaved_n(
+        &mut [&mut || {
+            timed(|| {
+                std::hint::black_box(simulate(dag, &policy, &model, SIM_SEED));
+            })
+        }],
+        1,
+        iters,
+    )[0];
 
     // One combined run measures the allocator peak and, via the stage
     // spans, the per-stage wall breakdown of a single pipeline pass.
@@ -223,29 +176,27 @@ pub fn measure_dag(workload: &str, dag: &Dag, threads: usize) -> ScalingRow {
     let r = prio.prioritize(dag).unwrap();
     let out = simulate(dag, &PolicySpec::Oblivious(r.schedule), &model, SIM_SEED);
     std::hint::black_box(&out);
-    let peak_bytes = mem::peak_since(baseline) as u64;
-    let stage_ns = |name: &str| {
-        prio_obs::span::stat_of(name)
-            .map(|s| s.total.as_nanos() as u64)
-            .unwrap_or(0)
-    };
+    let peak_bytes = mem::peak_since(baseline);
+    let stage_ns =
+        |name: &str| prio_obs::span::stat_of(name).map_or(0.0, |s| s.total.as_nanos() as f64);
 
-    ScalingRow {
-        workload: workload.into(),
-        jobs: dag.num_nodes() as u64,
-        arcs: dag.num_arcs() as u64,
-        iters: iters as u64,
-        pipeline_ns,
-        sim_ns,
-        peak_bytes,
-        threads: threads as u64,
-        parse_ns: 0,
-        reduce_ns: stage_ns(prio_obs::stage::REDUCE),
-        decompose_ns: stage_ns(prio_obs::stage::DECOMPOSE),
-        schedule_ns: stage_ns(prio_obs::stage::SCHEDULE),
-        combine_ns: stage_ns(prio_obs::stage::COMBINE),
-        emit_ns: stage_ns(prio_obs::stage::EMIT),
-    }
+    Row::new(
+        "scaling",
+        workload,
+        dag.num_nodes() as u64,
+        dag.num_arcs() as u64,
+        threads as u64,
+        iters as u64,
+    )
+    .with("pipeline_ns", pipeline_ns as f64)
+    .with("sim_ns", sim_ns as f64)
+    .with("peak_bytes", peak_bytes as f64)
+    .with("parse_ns", 0.0)
+    .with("reduce_ns", stage_ns(prio_obs::stage::REDUCE))
+    .with("decompose_ns", stage_ns(prio_obs::stage::DECOMPOSE))
+    .with("schedule_ns", stage_ns(prio_obs::stage::SCHEDULE))
+    .with("combine_ns", stage_ns(prio_obs::stage::COMBINE))
+    .with("emit_ns", stage_ns(prio_obs::stage::EMIT))
 }
 
 /// Measures one parse tier: generates the DAGMan text, then times the
@@ -253,41 +204,46 @@ pub fn measure_dag(workload: &str, dag: &Dag, threads: usize) -> ScalingRow {
 /// and its allocator peak (text excluded — it is allocated before the
 /// baseline is taken). Best of two runs, without a warm-up: a 10⁷-job
 /// parse is seconds of wall time, and its noise is far below the gate.
-pub fn measure_parse(target: usize, threads: usize) -> ScalingRow {
+pub fn measure_parse(target: usize, threads: usize) -> Row {
     let text = dagman_text_tier(target);
     let iters = 2;
-    let mut best = u128::MAX;
-    let mut peak_bytes = 0u64;
-    let mut row = None;
-    for _ in 0..iters {
+    let mut peak_bytes = 0;
+    let mut shape = (0, 0);
+    let mut parse = || {
         let baseline = mem::reset_peak();
-        let t = Instant::now();
-        let dag = parse_dagman_threads(&text, threads)
-            .unwrap()
-            .to_dag()
-            .unwrap();
-        best = best.min(t.elapsed().as_nanos());
-        peak_bytes = peak_bytes.max(mem::peak_since(baseline) as u64);
-        row.get_or_insert((dag.num_nodes() as u64, dag.num_arcs() as u64));
+        let mut dag = None;
+        let ns = timed(|| {
+            dag = Some(
+                parse_dagman_threads(&text, threads)
+                    .unwrap()
+                    .to_dag()
+                    .unwrap(),
+            );
+        });
+        peak_bytes = peak_bytes.max(mem::peak_since(baseline));
+        let dag = dag.expect("timed closure ran");
+        shape = (dag.num_nodes() as u64, dag.num_arcs() as u64);
         std::hint::black_box(&dag);
-    }
-    let (jobs, arcs) = row.expect("at least one iteration");
-    ScalingRow {
-        workload: "dagman_parse".into(),
-        jobs,
-        arcs,
-        iters: iters as u64,
-        pipeline_ns: 0,
-        sim_ns: 0,
-        peak_bytes,
-        threads: threads as u64,
-        parse_ns: best as u64,
-        reduce_ns: 0,
-        decompose_ns: 0,
-        schedule_ns: 0,
-        combine_ns: 0,
-        emit_ns: 0,
-    }
+        ns
+    };
+    let best = best_ns_interleaved_n(&mut [&mut parse], 0, iters);
+    Row::new(
+        "scaling",
+        "dagman_parse",
+        shape.0,
+        shape.1,
+        threads as u64,
+        iters as u64,
+    )
+    .with("pipeline_ns", 0.0)
+    .with("sim_ns", 0.0)
+    .with("peak_bytes", peak_bytes as f64)
+    .with("parse_ns", best[0] as f64)
+    .with("reduce_ns", 0.0)
+    .with("decompose_ns", 0.0)
+    .with("schedule_ns", 0.0)
+    .with("combine_ns", 0.0)
+    .with("emit_ns", 0.0)
 }
 
 /// Runs the whole grid — pipeline tiers then parse tiers — skipping tiers
@@ -299,7 +255,7 @@ pub fn measure(
     threads: usize,
     parse_only: bool,
     mut progress: impl FnMut(&str),
-) -> ScalingBench {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     if !parse_only {
         for &tier in &TIERS {
@@ -326,273 +282,12 @@ pub fn measure(
         progress(&format!("dagman_parse tier {tier}"));
         rows.push(measure_parse(tier, threads));
     }
-    ScalingBench {
-        metric: "best_of_n_wall_ns".into(),
-        rows,
-    }
-}
-
-impl ScalingRow {
-    fn to_json(&self) -> String {
-        format!(
-            "    {{\"workload\": \"{}\", \"jobs\": {}, \"arcs\": {}, \"iters\": {}, \"pipeline_ns\": {}, \"sim_ns\": {}, \"peak_bytes\": {}, \"threads\": {}, \"parse_ns\": {}, \"reduce_ns\": {}, \"decompose_ns\": {}, \"schedule_ns\": {}, \"combine_ns\": {}, \"emit_ns\": {}}}",
-            self.workload, self.jobs, self.arcs, self.iters, self.pipeline_ns, self.sim_ns, self.peak_bytes,
-            self.threads, self.parse_ns, self.reduce_ns, self.decompose_ns, self.schedule_ns, self.combine_ns, self.emit_ns,
-        )
-    }
-
-    fn from_json(v: &JsonValue) -> Result<ScalingRow, String> {
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("row missing integer field {key:?}"))
-        };
-        // Fields added after the first committed baselines default to 0 so
-        // historic `BENCH_scaling.json` files still load.
-        let opt = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Ok(ScalingRow {
-            workload: v
-                .get("workload")
-                .and_then(JsonValue::as_str)
-                .ok_or("row missing string field \"workload\"")?
-                .to_owned(),
-            jobs: u("jobs")?,
-            arcs: u("arcs")?,
-            iters: u("iters")?,
-            pipeline_ns: u("pipeline_ns")?,
-            sim_ns: u("sim_ns")?,
-            peak_bytes: u("peak_bytes")?,
-            threads: opt("threads"),
-            parse_ns: opt("parse_ns"),
-            reduce_ns: opt("reduce_ns"),
-            decompose_ns: opt("decompose_ns"),
-            schedule_ns: opt("schedule_ns"),
-            combine_ns: opt("combine_ns"),
-            emit_ns: opt("emit_ns"),
-        })
-    }
-}
-
-impl ScalingBench {
-    /// Serializes in the committed `BENCH_scaling.json` format: fixed key
-    /// order, one row per line — byte-deterministic for identical
-    /// measurements.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.rows.iter().map(ScalingRow::to_json).collect();
-        format!(
-            "{{\n  \"metric\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.metric,
-            rows.join(",\n")
-        )
-    }
-
-    /// Parses the `BENCH_scaling.json` format (any key order).
-    pub fn from_json(text: &str) -> Result<ScalingBench, String> {
-        let v = parse(text)?;
-        let metric = v
-            .get("metric")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing string field \"metric\"")?
-            .to_owned();
-        let rows = match v.get("rows") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(ScalingRow::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing array field \"rows\"".into()),
-        };
-        Ok(ScalingBench { metric, rows })
-    }
-
-    /// The row for a `(workload, jobs)` identity, if present.
-    pub fn row(&self, workload: &str, jobs: u64) -> Option<&ScalingRow> {
-        self.rows
-            .iter()
-            .find(|r| r.workload == workload && r.jobs == jobs)
-    }
-}
-
-/// Compares every fresh row that has a baseline row with the same
-/// `(workload, jobs)` identity — rows only one side measured (e.g. the
-/// big tiers during a CI smoke run) are skipped. Each matched row yields
-/// two [`MetricCheck`]s (pipeline and sim wall time); peak bytes are
-/// reported by the caller but not thresholded, since allocator peaks are
-/// exact and assertable in tests instead.
-pub fn compare_scaling(
-    baseline: &ScalingBench,
-    fresh: &ScalingBench,
-    threshold: f64,
-) -> Vec<(String, MetricCheck)> {
-    let mut checks = Vec::new();
-    for f in &fresh.rows {
-        let Some(b) = baseline.row(&f.workload, f.jobs) else {
-            continue;
-        };
-        let label = format!("{}/{}", f.workload, f.jobs);
-        for (name, baseline_ns, fresh_ns) in [
-            ("pipeline_ns", b.pipeline_ns, f.pipeline_ns),
-            ("sim_ns", b.sim_ns, f.sim_ns),
-            ("parse_ns", b.parse_ns, f.parse_ns),
-        ] {
-            if baseline_ns == 0 && fresh_ns == 0 {
-                // Metric not applicable to this workload kind (e.g.
-                // parse_ns on a pipeline row).
-                continue;
-            }
-            let ratio = fresh_ns as f64 / baseline_ns.max(1) as f64;
-            checks.push((
-                label.clone(),
-                MetricCheck {
-                    name,
-                    baseline_ns,
-                    fresh_ns,
-                    ratio,
-                    regressed: ratio > threshold,
-                },
-            ));
-        }
-    }
-    checks
-}
-
-/// Gates allocator peaks against the committed baseline: for every
-/// matched `(workload, jobs)` row where both sides measured a peak (a run
-/// without the counting allocator records 0 and is skipped), the fresh
-/// peak must stay within `factor` of the baseline — the committed peaks
-/// are the memory budgets of the big tiers.
-pub fn compare_scaling_memory(
-    baseline: &ScalingBench,
-    fresh: &ScalingBench,
-    factor: f64,
-) -> Vec<(String, MetricCheck)> {
-    let mut checks = Vec::new();
-    for f in &fresh.rows {
-        let Some(b) = baseline.row(&f.workload, f.jobs) else {
-            continue;
-        };
-        if b.peak_bytes == 0 || f.peak_bytes == 0 {
-            continue;
-        }
-        let ratio = f.peak_bytes as f64 / b.peak_bytes as f64;
-        checks.push((
-            format!("{}/{}", f.workload, f.jobs),
-            MetricCheck {
-                name: "peak_bytes",
-                baseline_ns: b.peak_bytes,
-                fresh_ns: f.peak_bytes,
-                ratio,
-                regressed: ratio > factor,
-            },
-        ));
-    }
-    checks
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn row(workload: &str, jobs: u64, pipeline_ns: u64, sim_ns: u64, peak: u64) -> ScalingRow {
-        ScalingRow {
-            workload: workload.into(),
-            jobs,
-            arcs: jobs * 2,
-            iters: 20,
-            pipeline_ns,
-            sim_ns,
-            peak_bytes: peak,
-            threads: 4,
-            parse_ns: 0,
-            reduce_ns: 10,
-            decompose_ns: 20,
-            schedule_ns: 30,
-            combine_ns: 5,
-            emit_ns: 1,
-        }
-    }
-
-    fn sample() -> ScalingBench {
-        ScalingBench {
-            metric: "best_of_n_wall_ns".into(),
-            rows: vec![
-                row("montage", 1033, 500_000, 250_000, 1_000_000),
-                row("layered", 1000, 700_000, 300_000, 2_000_000),
-            ],
-        }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let b = sample();
-        let back = ScalingBench::from_json(&b.to_json()).unwrap();
-        assert_eq!(back, b);
-        // Byte-deterministic.
-        assert_eq!(b.to_json(), back.to_json());
-    }
-
-    #[test]
-    fn missing_fields_are_errors() {
-        assert!(ScalingBench::from_json("{}").is_err());
-        assert!(ScalingBench::from_json("{\"metric\": \"m\"}").is_err());
-        assert!(ScalingBench::from_json("{\"metric\": \"m\", \"rows\": [{}]}").is_err());
-        assert!(ScalingBench::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn pre_breakdown_baselines_still_load() {
-        // A row in the original committed format — no threads, parse_ns or
-        // stage fields — must load with those fields defaulted to 0.
-        let old = "{\"metric\": \"m\", \"rows\": [{\"workload\": \"montage\", \"jobs\": 10, \
-                   \"arcs\": 20, \"iters\": 2, \"pipeline_ns\": 5, \"sim_ns\": 3, \
-                   \"peak_bytes\": 7}]}";
-        let b = ScalingBench::from_json(old).unwrap();
-        let r = &b.rows[0];
-        assert_eq!((r.pipeline_ns, r.sim_ns, r.peak_bytes), (5, 3, 7));
-        assert_eq!(r.threads, 0);
-        assert_eq!(r.parse_ns, 0);
-        assert_eq!(r.reduce_ns + r.decompose_ns + r.schedule_ns, 0);
-    }
-
-    #[test]
-    fn memory_gate_compares_matched_nonzero_peaks() {
-        let baseline = sample();
-        let mut fresh = sample();
-        fresh.rows[0].peak_bytes *= 2; // montage peak doubled
-        fresh.rows[1].peak_bytes = 0; // no counting allocator
-        let checks = compare_scaling_memory(&baseline, &fresh, 1.5);
-        assert_eq!(checks.len(), 1, "zero-peak rows are skipped");
-        assert_eq!(checks[0].0, "montage/1033");
-        assert!(checks[0].1.regressed, "2.0x exceeds the 1.5x budget");
-        let ok = compare_scaling_memory(&baseline, &baseline, 1.5);
-        assert!(ok.iter().all(|(_, c)| !c.regressed));
-    }
-
-    #[test]
-    fn parse_rows_compare_parse_ns_only() {
-        let mk = |parse_ns: u64| ScalingBench {
-            metric: "m".into(),
-            rows: vec![ScalingRow {
-                workload: "dagman_parse".into(),
-                jobs: 1_000_000,
-                arcs: 1_250_000,
-                iters: 1,
-                pipeline_ns: 0,
-                sim_ns: 0,
-                peak_bytes: 1,
-                threads: 0,
-                parse_ns,
-                reduce_ns: 0,
-                decompose_ns: 0,
-                schedule_ns: 0,
-                combine_ns: 0,
-                emit_ns: 0,
-            }],
-        };
-        let checks = compare_scaling(&mk(100), &mk(250), 2.0);
-        assert_eq!(checks.len(), 1, "pipeline/sim metrics are skipped at 0");
-        assert_eq!(checks[0].1.name, "parse_ns");
-        assert!(checks[0].1.regressed, "2.5x exceeds 2x");
-    }
 
     #[test]
     fn dagman_text_tier_parses_to_the_expected_shape() {
@@ -614,19 +309,6 @@ mod tests {
         // Deterministic and identical across the parallel chunked path.
         assert_eq!(text, dagman_text_tier(3_000));
         assert_eq!(parse(3), dag);
-    }
-
-    #[test]
-    fn compare_matches_rows_by_identity_and_skips_unmatched() {
-        let baseline = sample();
-        let mut fresh = sample();
-        fresh.rows[0].pipeline_ns *= 3; // montage pipeline 3× slower
-        fresh.rows[1].workload = "other".into(); // no baseline row
-        let checks = compare_scaling(&baseline, &fresh, 2.0);
-        assert_eq!(checks.len(), 2, "one matched row × two metrics");
-        assert!(checks.iter().all(|(label, _)| label == "montage/1033"));
-        assert!(checks[0].1.regressed, "3× exceeds 2×");
-        assert!(!checks[1].1.regressed);
     }
 
     #[test]
@@ -653,13 +335,16 @@ mod tests {
     fn measure_dag_smoke() {
         let dag = montage_tier(150);
         let row = measure_dag("montage", &dag, 0);
-        assert_eq!(row.jobs, dag.num_nodes() as u64);
-        assert!(row.pipeline_ns > 0 && row.sim_ns > 0);
-        // No counting allocator installed in the test harness.
+        assert_eq!(
+            (row.suite.as_str(), row.jobs),
+            ("scaling", dag.num_nodes() as u64)
+        );
+        assert!(row.metric("pipeline_ns") > 0.0 && row.metric("sim_ns") > 0.0);
         assert!(row.iters > 0);
         // The stage breakdown comes from the combined run's spans.
-        assert!(row.reduce_ns + row.decompose_ns + row.schedule_ns > 0);
-        assert_eq!(row.parse_ns, 0);
+        let stages = ["reduce_ns", "decompose_ns", "schedule_ns"];
+        assert!(stages.iter().map(|m| row.metric(m)).sum::<f64>() > 0.0);
+        assert_eq!(row.metric("parse_ns"), 0.0);
     }
 
     #[test]
@@ -667,8 +352,11 @@ mod tests {
         let row = measure_parse(2_000, 0);
         assert_eq!(row.workload, "dagman_parse");
         assert_eq!(row.jobs, 2_000);
-        assert!(row.parse_ns > 0);
-        assert_eq!(row.pipeline_ns, 0);
-        assert_eq!(row.sim_ns, 0);
+        assert!(row.metric("parse_ns") > 0.0);
+        assert_eq!(row.metric("pipeline_ns"), 0.0);
+        assert_eq!(row.metric("sim_ns"), 0.0);
+        // Both kinds of row carry the same metrics.
+        let dag_row = measure_dag("montage", &montage_tier(150), 0);
+        assert!(row.metrics.keys().eq(dag_row.metrics.keys()));
     }
 }

@@ -1,5 +1,6 @@
 //! Serve-throughput measurement: the library behind the `bench_serve`
-//! load generator and the `--serve-fresh` gate in `bench_check`.
+//! load generator, and the absolute serve bounds the gate holds its
+//! rows to.
 //!
 //! The measurement starts an in-process `prio serve` daemon on an
 //! ephemeral TCP port and drives it **open-loop**: request send times are
@@ -19,15 +20,10 @@
 //! A pipelined open-loop client always has segments in flight, so it
 //! cannot see a reply that waits on the client's ACK (Nagle's algorithm
 //! against a delayed ACK holds such a reply about 40 ms); the
-//! closed-loop service time can, and [`check_floors`] gates its p99
-//! tightly.
-//!
-//! [`ServeBench::to_json`] serializes with a fixed key order
-//! ([`KEY_ORDER`]) for a cleanly-diffing committed `BENCH_serve.json`;
-//! [`check_floors`] holds a measurement to the absolute acceptance
-//! floors (sustained req/s, p99 latency, closed-loop p99, hit ratio), and
-//! [`compare_serve`] guards a fresh run against the committed baseline.
+//! closed-loop service time can, and the gate holds its p99 to
+//! [`MAX_CLOSED_P99_US`].
 
+use crate::record::Row;
 use prio_ir::{FormatId, Workflow};
 use prio_obs::json::{parse, JsonValue};
 use prio_serve::{encode_control, encode_request, ServeConfig, Server};
@@ -70,68 +66,6 @@ pub const P99_NOISE_US: u64 = 50_000;
 /// duplicate-heavy mix.
 pub const MIN_HIT_RATIO: f64 = 0.90;
 
-/// The serialized keys, in the exact order [`ServeBench::to_json`] emits
-/// them.
-pub const KEY_ORDER: [&str; 17] = [
-    "workload",
-    "jobs",
-    "unique_dags",
-    "threads",
-    "offered_rps",
-    "requests",
-    "completed",
-    "overloaded",
-    "errors",
-    "duration_ns",
-    "achieved_rps",
-    "p50_us",
-    "p90_us",
-    "p99_us",
-    "closed_p50_us",
-    "closed_p99_us",
-    "hit_ratio",
-];
-
-/// One serve-throughput measurement (or a parsed committed baseline).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeBench {
-    /// Workload family of the request mix (`"montage"`).
-    pub workload: String,
-    /// Jobs per dag in the mix (the paper-scale ~100).
-    pub jobs: u64,
-    /// Distinct dags in the warm pool.
-    pub unique_dags: u64,
-    /// Daemon worker threads.
-    pub threads: u64,
-    /// Open-loop offered rate, requests per second.
-    pub offered_rps: u64,
-    /// Requests sent in the measured window.
-    pub requests: u64,
-    /// Requests answered `ok`.
-    pub completed: u64,
-    /// Requests shed with `overloaded`.
-    pub overloaded: u64,
-    /// Requests answered with an error (must be 0).
-    pub errors: u64,
-    /// First scheduled send to last response, nanoseconds.
-    pub duration_ns: u64,
-    /// `completed / duration` — the sustained throughput.
-    pub achieved_rps: f64,
-    /// Median latency from scheduled send, microseconds.
-    pub p50_us: u64,
-    /// 90th-percentile latency, microseconds.
-    pub p90_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// Closed-loop median service time (request written to reply line
-    /// read, one request in flight), microseconds.
-    pub closed_p50_us: u64,
-    /// Closed-loop 99th-percentile service time, microseconds.
-    pub closed_p99_us: u64,
-    /// Cache hits / lookups during the measured window.
-    pub hit_ratio: f64,
-}
-
 /// Load-generator knobs.
 #[derive(Debug, Clone)]
 pub struct ServeBenchOptions {
@@ -161,8 +95,9 @@ impl Default for ServeBenchOptions {
     }
 }
 
-/// The paper-scale (~100-job) Montage-like dag behind every request.
-fn base_dag_text() -> (u64, String) {
+/// The paper-scale (~100-job) Montage-like dag behind every request:
+/// its jobs, arcs and edge-list text.
+fn base_dag_text() -> (u64, u64, String) {
     let params = MontageParams {
         images: 13,
         tiles: 4,
@@ -170,7 +105,8 @@ fn base_dag_text() -> (u64, String) {
     let wf = Workflow::synthetic(montage(params));
     let reg = prio_dagman::registry();
     let frontend = reg.get(FormatId::Edges).expect("edges frontend registered");
-    (wf.num_jobs() as u64, frontend.export(&wf, wf.priorities()))
+    let text = frontend.export(&wf, wf.priorities());
+    (wf.num_jobs() as u64, wf.dag().num_arcs() as u64, text)
 }
 
 /// A pre-encoded request line split at the id placeholder, so sending is
@@ -227,10 +163,19 @@ struct Completions {
 }
 
 /// Runs the load generator against an in-process daemon and returns the
-/// measurement. Panics on harness failures (connect errors, a wedged
-/// daemon) — this is a benchmark binary, not a library API.
-pub fn measure(opts: &ServeBenchOptions) -> ServeBench {
-    let (jobs, base) = base_dag_text();
+/// measurement: one `serve` row. Panics on harness failures (connect
+/// errors, a wedged daemon) — this is a benchmark binary, not a library
+/// API.
+///
+/// Metrics: `offered_rps`, `unique_dags`; of the measured window's
+/// `requests`, those `completed` ok, `overloaded` (shed) and answered
+/// with an error (`errors`, closed-loop errors included; must be 0);
+/// `duration_ns` from first scheduled send to last response,
+/// `achieved_rps` = completed / duration, latency from the scheduled
+/// send `p50_us`/`p90_us`/`p99_us`, closed-loop service time
+/// `closed_p50_us`/`closed_p99_us`, and the window's cache `hit_ratio`.
+pub fn measure(opts: &ServeBenchOptions) -> Row {
+    let (jobs, arcs, base) = base_dag_text();
     // Warm pool: the base dag plus one pool-unique isolated node, so each
     // pool entry has its own CSR (labels differ) and its own cache entry.
     let pool: Vec<Prepared> = (0..opts.unique)
@@ -399,25 +344,24 @@ pub fn measure(opts: &ServeBenchOptions) -> ServeBench {
     let duration_ns = (last_completion_us.saturating_sub(start_us)).max(1) * 1_000;
     let hit_ratio = hit_ratio_between(&stats_lines);
 
-    ServeBench {
-        workload: "montage".into(),
-        jobs,
-        unique_dags: opts.unique as u64,
-        threads: opts.threads as u64,
-        offered_rps: opts.rate,
-        requests: total as u64,
-        completed,
-        overloaded,
-        errors: errors + closed_errors,
-        duration_ns,
-        achieved_rps: completed as f64 / (duration_ns as f64 / 1e9),
-        p50_us: percentile(&latencies, 50),
-        p90_us: percentile(&latencies, 90),
-        p99_us: percentile(&latencies, 99),
-        closed_p50_us: percentile(&closed_latencies, 50),
-        closed_p99_us: percentile(&closed_latencies, 99),
-        hit_ratio,
-    }
+    Row::new("serve", "montage", jobs, arcs, opts.threads as u64, 1)
+        .with("unique_dags", opts.unique as f64)
+        .with("offered_rps", opts.rate as f64)
+        .with("requests", total as f64)
+        .with("completed", completed as f64)
+        .with("overloaded", overloaded as f64)
+        .with("errors", (errors + closed_errors) as f64)
+        .with("duration_ns", duration_ns as f64)
+        .with(
+            "achieved_rps",
+            completed as f64 / (duration_ns as f64 / 1e9),
+        )
+        .with("p50_us", percentile(&latencies, 50) as f64)
+        .with("p90_us", percentile(&latencies, 90) as f64)
+        .with("p99_us", percentile(&latencies, 99) as f64)
+        .with("closed_p50_us", percentile(&closed_latencies, 50) as f64)
+        .with("closed_p99_us", percentile(&closed_latencies, 99) as f64)
+        .with("hit_ratio", hit_ratio)
 }
 
 /// The nearest-rank `p`th percentile of an ascending slice (0 if empty).
@@ -430,22 +374,22 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 /// Runs [`measure`] `repeat` times and keeps the run with the lowest
-/// p99 (ties broken by throughput). Tail latency on a shared runner is
-/// scheduler-noise dominated; the best of a few runs reflects what the
-/// daemon can do rather than what the neighbors were doing.
-pub fn measure_best(opts: &ServeBenchOptions, repeat: usize) -> ServeBench {
-    let mut best: Option<ServeBench> = None;
+/// p99 (ties broken by throughput); the row's `iters` is the number of
+/// runs. Tail latency on a shared runner is scheduler-noise dominated;
+/// the best of a few runs reflects what the daemon can do rather than
+/// what the neighbors were doing.
+pub fn measure_best(opts: &ServeBenchOptions, repeat: usize) -> Row {
+    let key = |r: &Row| (r.metric("p99_us"), -r.metric("achieved_rps"));
+    let mut best: Option<Row> = None;
     for _ in 0..repeat.max(1) {
         let run = measure(opts);
-        let better = match &best {
-            None => true,
-            Some(b) => (run.p99_us, -run.achieved_rps) < (b.p99_us, -b.achieved_rps),
-        };
-        if better {
+        if best.as_ref().is_none_or(|b| key(&run) < key(b)) {
             best = Some(run);
         }
     }
-    best.expect("at least one run")
+    let mut best = best.expect("at least one run");
+    best.iters = repeat.max(1) as u64;
+    best
 }
 
 fn send_control(writer: &mut impl Write, id: &str) {
@@ -487,268 +431,9 @@ fn hit_ratio_between(stats_lines: &[String]) -> f64 {
     hits as f64 / ((hits + misses).max(1)) as f64
 }
 
-impl ServeBench {
-    /// Serializes in the committed `BENCH_serve.json` format: keys in
-    /// [`KEY_ORDER`], one per line, trailing newline.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"workload\": \"{}\",\n  \"jobs\": {},\n  \"unique_dags\": {},\n  \"threads\": {},\n  \"offered_rps\": {},\n  \"requests\": {},\n  \"completed\": {},\n  \"overloaded\": {},\n  \"errors\": {},\n  \"duration_ns\": {},\n  \"achieved_rps\": {:.1},\n  \"p50_us\": {},\n  \"p90_us\": {},\n  \"p99_us\": {},\n  \"closed_p50_us\": {},\n  \"closed_p99_us\": {},\n  \"hit_ratio\": {:.4}\n}}\n",
-            self.workload,
-            self.jobs,
-            self.unique_dags,
-            self.threads,
-            self.offered_rps,
-            self.requests,
-            self.completed,
-            self.overloaded,
-            self.errors,
-            self.duration_ns,
-            self.achieved_rps,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-            self.closed_p50_us,
-            self.closed_p99_us,
-            self.hit_ratio,
-        )
-    }
-
-    /// Parses the `BENCH_serve.json` format (any key order).
-    pub fn from_json(text: &str) -> Result<ServeBench, String> {
-        let v = parse(text)?;
-        if !v.is_object() {
-            return Err("expected a JSON object".into());
-        }
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing integer field {key:?}"))
-        };
-        let f = |key: &str| {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing number field {key:?}"))
-        };
-        Ok(ServeBench {
-            workload: v
-                .get("workload")
-                .and_then(JsonValue::as_str)
-                .ok_or("missing string field \"workload\"")?
-                .to_owned(),
-            jobs: u("jobs")?,
-            unique_dags: u("unique_dags")?,
-            threads: u("threads")?,
-            offered_rps: u("offered_rps")?,
-            requests: u("requests")?,
-            completed: u("completed")?,
-            overloaded: u("overloaded")?,
-            errors: u("errors")?,
-            duration_ns: u("duration_ns")?,
-            achieved_rps: f("achieved_rps")?,
-            p50_us: u("p50_us")?,
-            p90_us: u("p90_us")?,
-            p99_us: u("p99_us")?,
-            closed_p50_us: u("closed_p50_us")?,
-            closed_p99_us: u("closed_p99_us")?,
-            hit_ratio: f("hit_ratio")?,
-        })
-    }
-}
-
-/// One floor-or-baseline verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeCheck {
-    /// What was checked.
-    pub name: &'static str,
-    /// The bound (floor or scaled baseline) the value is held to.
-    pub bound: f64,
-    /// The fresh measurement's value.
-    pub value: f64,
-    /// Whether the bound was violated.
-    pub failed: bool,
-}
-
-/// Holds a measurement to the absolute acceptance floors: sustained
-/// req/s ≥ [`MIN_RPS`], p99 ≤ [`MAX_P99_US`], closed-loop p99 ≤
-/// [`MAX_CLOSED_P99_US`], hit ratio ≥ [`MIN_HIT_RATIO`], and zero
-/// errors.
-pub fn check_floors(fresh: &ServeBench) -> Vec<ServeCheck> {
-    vec![
-        ServeCheck {
-            name: "achieved_rps_floor",
-            bound: MIN_RPS,
-            value: fresh.achieved_rps,
-            failed: fresh.achieved_rps < MIN_RPS,
-        },
-        ServeCheck {
-            name: "p99_us_ceiling",
-            bound: MAX_P99_US as f64,
-            value: fresh.p99_us as f64,
-            failed: fresh.p99_us > MAX_P99_US,
-        },
-        ServeCheck {
-            name: "closed_p99_us_ceiling",
-            bound: MAX_CLOSED_P99_US as f64,
-            value: fresh.closed_p99_us as f64,
-            failed: fresh.closed_p99_us > MAX_CLOSED_P99_US,
-        },
-        ServeCheck {
-            name: "hit_ratio_floor",
-            bound: MIN_HIT_RATIO,
-            value: fresh.hit_ratio,
-            failed: fresh.hit_ratio < MIN_HIT_RATIO,
-        },
-        ServeCheck {
-            name: "errors",
-            bound: 0.0,
-            value: fresh.errors as f64,
-            failed: fresh.errors > 0,
-        },
-    ]
-}
-
-/// Guards a fresh run against the committed baseline: throughput may not
-/// fall below `baseline / threshold`, p99 may not exceed
-/// `baseline × threshold + `[`P99_NOISE_US`] (the additive term keeps a
-/// fast sub-millisecond baseline from producing a bound that ordinary
-/// scheduler jitter on a shared runner crosses).
-pub fn compare_serve(baseline: &ServeBench, fresh: &ServeBench, threshold: f64) -> Vec<ServeCheck> {
-    let rps_bound = baseline.achieved_rps / threshold;
-    let p99_bound = baseline.p99_us as f64 * threshold + P99_NOISE_US as f64;
-    vec![
-        ServeCheck {
-            name: "achieved_rps",
-            bound: rps_bound,
-            value: fresh.achieved_rps,
-            failed: fresh.achieved_rps < rps_bound,
-        },
-        ServeCheck {
-            name: "p99_us",
-            bound: p99_bound,
-            value: fresh.p99_us as f64,
-            failed: (fresh.p99_us as f64) > p99_bound,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> ServeBench {
-        ServeBench {
-            workload: "montage".into(),
-            jobs: 104,
-            unique_dags: 32,
-            threads: 2,
-            offered_rps: 11_000,
-            requests: 33_000,
-            completed: 33_000,
-            overloaded: 0,
-            errors: 0,
-            duration_ns: 3_010_000_000,
-            achieved_rps: 10_963.5,
-            p50_us: 180,
-            p90_us: 420,
-            p99_us: 1_800,
-            closed_p50_us: 250,
-            closed_p99_us: 900,
-            hit_ratio: 0.9492,
-        }
-    }
-
-    #[test]
-    fn json_round_trips_with_fixed_key_order() {
-        let b = sample();
-        let json = b.to_json();
-        assert_eq!(ServeBench::from_json(&json).unwrap(), b);
-        let mut last = 0;
-        for key in KEY_ORDER {
-            let pos = json
-                .find(&format!("\"{key}\":"))
-                .unwrap_or_else(|| panic!("missing {key}"));
-            assert!(pos > last, "{key} out of order");
-            last = pos;
-        }
-        assert_eq!(json, sample().to_json());
-        assert!(ServeBench::from_json("{}").is_err());
-        assert!(ServeBench::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn floors_flag_each_violation() {
-        assert!(check_floors(&sample()).iter().all(|c| !c.failed));
-        let slow = ServeBench {
-            achieved_rps: 9_000.0,
-            ..sample()
-        };
-        assert!(check_floors(&slow)
-            .iter()
-            .any(|c| c.name == "achieved_rps_floor" && c.failed));
-        let laggy = ServeBench {
-            p99_us: MAX_P99_US + 5_000,
-            ..sample()
-        };
-        assert!(check_floors(&laggy)
-            .iter()
-            .any(|c| c.name == "p99_us_ceiling" && c.failed));
-        let stalled = ServeBench {
-            closed_p50_us: 44_000,
-            closed_p99_us: 44_600,
-            ..sample()
-        };
-        assert!(check_floors(&stalled)
-            .iter()
-            .any(|c| c.name == "closed_p99_us_ceiling" && c.failed));
-        let cold = ServeBench {
-            hit_ratio: 0.5,
-            ..sample()
-        };
-        assert!(check_floors(&cold)
-            .iter()
-            .any(|c| c.name == "hit_ratio_floor" && c.failed));
-        let broken = ServeBench {
-            errors: 1,
-            ..sample()
-        };
-        assert!(check_floors(&broken)
-            .iter()
-            .any(|c| c.name == "errors" && c.failed));
-    }
-
-    #[test]
-    fn baseline_comparison_guards_both_directions() {
-        let baseline = sample();
-        let ok = ServeBench {
-            achieved_rps: baseline.achieved_rps * 0.9,
-            p99_us: baseline.p99_us + 100,
-            ..sample()
-        };
-        assert!(compare_serve(&baseline, &ok, 2.0).iter().all(|c| !c.failed));
-        let slow = ServeBench {
-            achieved_rps: baseline.achieved_rps / 3.0,
-            ..sample()
-        };
-        assert!(compare_serve(&baseline, &slow, 2.0)
-            .iter()
-            .any(|c| c.name == "achieved_rps" && c.failed));
-        let ok_jitter = ServeBench {
-            // Within the additive noise allowance even though it is more
-            // than threshold × baseline.
-            p99_us: baseline.p99_us * 2 + P99_NOISE_US / 2,
-            ..sample()
-        };
-        assert!(compare_serve(&baseline, &ok_jitter, 2.0)
-            .iter()
-            .all(|c| !c.failed));
-        let laggy = ServeBench {
-            p99_us: baseline.p99_us * 2 + P99_NOISE_US * 2,
-            ..sample()
-        };
-        assert!(compare_serve(&baseline, &laggy, 2.0)
-            .iter()
-            .any(|c| c.name == "p99_us" && c.failed));
-    }
 
     #[test]
     fn response_decoding_is_robust() {
@@ -783,17 +468,21 @@ mod tests {
             unique: 4,
             fresh_every: 10,
         });
-        assert_eq!(b.requests, b.completed + b.overloaded + b.errors);
-        assert_eq!(b.errors, 0, "{b:?}");
-        assert!(b.completed > 0);
+        let m = |name| b.metric(name);
+        assert_eq!(
+            m("requests"),
+            m("completed") + m("overloaded") + m("errors")
+        );
+        assert_eq!(m("errors"), 0.0, "{b:?}");
+        assert!(m("completed") > 0.0);
         assert!(
-            b.hit_ratio > 0.5,
+            m("hit_ratio") > 0.5,
             "duplicate-heavy mix must mostly hit: {b:?}"
         );
         assert!(
-            b.closed_p50_us > 0 && b.closed_p50_us <= b.closed_p99_us,
+            m("closed_p50_us") > 0.0 && m("closed_p50_us") <= m("closed_p99_us"),
             "{b:?}"
         );
-        ServeBench::from_json(&b.to_json()).unwrap();
+        assert!(b.jobs > 0 && b.arcs > 0, "{b:?}");
     }
 }

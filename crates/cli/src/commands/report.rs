@@ -19,8 +19,8 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use prio_bench::report::Table;
 use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
+use prio_obs::report::Table;
 use prio_obs::stream::{self, JsonlReader, Record};
 use std::io::BufRead;
 

@@ -31,8 +31,8 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use prio_bench::report::Table;
 use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
+use prio_obs::report::Table;
 use prio_obs::stream;
 use prio_sim::trace::TraceEvent;
 use prio_sim::trace_json::event_from_value;

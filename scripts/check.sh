@@ -213,58 +213,57 @@ grep -q "serve exiting" target/serve-smoke/daemon.stderr \
   || { echo "check.sh: serve daemon exit summary missing" >&2; exit 1; }
 echo "check.sh: serve smoke ok (3-format matrix, stats verb, graceful shutdown)"
 run_cargo bench --no-run
-# Compile gate for the bench-regression guard; the timing comparison
-# itself is opt-in (PRIO_BENCH_CHECK=1) because shared CI machines are too
-# noisy to gate merges on wall time by default.
-run_cargo build --release -p prio-bench --bin bench_check
-# Compile the scaling benchmark and smoke-run its two cheap tiers
-# (10^3/10^4 jobs); the full sweep (through 10^6) is run manually when
-# regenerating BENCH_scaling.json.
-run_cargo build --release -p prio-bench --bin bench_scaling
+# The bench binaries each write one BENCH_*.json file (--out FILE);
+# bench_check gates such files against the committed baselines and
+# measures nothing itself. The timing comparisons are opt-in
+# (PRIO_BENCH_CHECK=1) because shared CI machines are too noisy to gate
+# merges on wall time by default.
+run_cargo build --release -p prio-bench --bin bench_check --bin bench_pipeline \
+  --bin bench_scaling --bin bench_obs --bin bench_serve
+# Smoke-run the scaling benchmark's two cheap tiers (10^3/10^4 jobs); the
+# full sweep (through 10^7) is run manually when regenerating
+# BENCH_scaling.json. The observability benchmark (10^5 + 10^6 tiers,
+# committed as BENCH_obs.json) and the serve load generator (committed as
+# BENCH_serve.json) run under PRIO_BENCH_CHECK=1 and when regenerating
+# their baselines.
 ./target/release/bench_scaling --max-jobs 10000 --out target/BENCH_scaling_smoke.json
-# Compile the observability-overhead benchmark; the full traced-vs-
-# untraced measurement (10^5 + 10^6 tiers, committed as BENCH_obs.json)
-# is run manually when regenerating the baseline.
-run_cargo build --release -p prio-bench --bin bench_obs
-# Compile the serve load generator; the open-loop throughput/latency
-# measurement (committed as BENCH_serve.json) runs under
-# PRIO_BENCH_CHECK=1 and when regenerating the baseline.
-run_cargo build --release -p prio-bench --bin bench_serve
+# The committed baselines must load and hold their in-run contracts:
+# BENCH_obs.json's traced and sampled runs within the 1.10x budget with
+# zero dropped events, and BENCH_serve.json's absolute serve floors
+# (>=10k req/s sustained, open-loop p99 <= 100ms, closed-loop p99 <=
+# 10ms, warm hit ratio >= 0.90, zero errors). Deterministic: nothing is
+# measured.
+./target/release/bench_check BENCH_pipeline.json BENCH_scaling.json \
+  BENCH_obs.json BENCH_serve.json
 if [ "${PRIO_BENCH_CHECK:-0}" = "1" ]; then
-  # Observability-overhead smoke: measure the cheap 10^5 tier on this
-  # machine and hold it to the committed baseline (absolute wall times,
-  # ordinary threshold). The overhead budget is relaxed to 1.5x here —
-  # a loaded CI box adds noise to a one-shot measurement — while the
-  # committed BENCH_obs.json below carries the strict 1.10x contract.
+  # Pipeline, scaling and observability-overhead smoke: measure the cheap
+  # tiers on this machine and hold them to the committed baselines
+  # (absolute wall times, ordinary threshold). The overhead budget is
+  # relaxed to 1.5x here — a loaded CI box adds noise to a one-shot
+  # measurement — while the committed BENCH_obs.json below carries the
+  # strict 1.10x contract.
+  ./target/release/bench_pipeline --out target/BENCH_pipeline_smoke.json > /dev/null
   ./target/release/bench_obs --max-jobs 100000 --out target/BENCH_obs_smoke.json
-  ./target/release/bench_check --threshold "${PRIO_BENCH_THRESHOLD:-2.0}" \
-    --scaling-fresh target/BENCH_scaling_smoke.json \
-    --obs-baseline BENCH_obs.json \
-    --obs-fresh target/BENCH_obs_smoke.json \
-    --obs-budget 1.5 \
-    --trace target/trace-smoke/airsn.jsonl
-  # The committed BENCH_obs.json is the overhead contract: traced and
-  # sampled runs within the 1.10x budget, zero dropped events.
-  ./target/release/bench_check --obs-fresh BENCH_obs.json
+  ./target/release/bench_check --threshold "${PRIO_BENCH_THRESHOLD:-2.0}" --obs-budget 1.5 \
+    target/BENCH_pipeline_smoke.json target/BENCH_scaling_smoke.json \
+    target/BENCH_obs_smoke.json
   # Front-half smoke at real scale: parse + CSR-build the 10^7-job
   # DAGMan tier through the path users run (parse_dagman_threads, then
-  # to_dag). Time-boxed so a pathological slowdown fails loudly instead
-  # of hanging the gate.
+  # to_dag), held to the committed 10^7 time and peak-memory budget.
+  # Time-boxed so a pathological slowdown fails loudly instead of
+  # hanging the gate.
   timeout 600 ./target/release/bench_scaling --parse-only \
     --max-jobs 10000000 --threads 4 \
     --out target/BENCH_scaling_parse_smoke.json \
     || { echo "check.sh: 10^7 parse smoke failed or timed out" >&2; exit 1; }
-  # The committed BENCH_serve.json must satisfy the absolute serve
-  # floors (>=10k req/s sustained, open-loop p99 <= 100ms, closed-loop
-  # p99 <= 10ms, warm hit ratio >= 0.90).
-  ./target/release/bench_check --serve-fresh BENCH_serve.json
+  ./target/release/bench_check --threshold "${PRIO_BENCH_THRESHOLD:-2.0}" \
+    target/BENCH_scaling_parse_smoke.json
   # Fresh serve measurement on this machine: floors always, plus the
   # committed baseline with the noise threshold.
   timeout 120 ./target/release/bench_serve --out target/BENCH_serve_fresh.json \
     || { echo "check.sh: bench_serve failed or timed out" >&2; exit 1; }
   ./target/release/bench_check --threshold "${PRIO_BENCH_THRESHOLD:-2.0}" \
-    --serve-baseline BENCH_serve.json \
-    --serve-fresh target/BENCH_serve_fresh.json
+    target/BENCH_serve_fresh.json
   # Concurrency soak: duplicate-heavy multi-client TCP mix; exactly one
   # response per id, a >=0.90 cache hit ratio, and a drained shutdown.
   run_cargo test --release -q -p dagprio --test serve_soak -- --ignored
