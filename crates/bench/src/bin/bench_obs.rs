@@ -9,11 +9,14 @@
 //!   `100000` to cover only the cheap tier)
 //! * `--out FILE`   — output path (default `BENCH_obs.json`)
 //!
-//! Gate a run with `bench_check FILE`: the traced (and sampled)
-//! producer-side wall time must stay within `--obs-budget` (default
-//! 1.10×) of the untraced run and the ring must drop nothing; the
-//! writer's drain time is recorded per row and guarded cross-run against
-//! the committed baseline.
+//! Traced runs go through the production trace pipeline — the one
+//! `prio simulate --trace-out` uses, its writer thread draining
+//! concurrently — into a discarding sink. Gate a run with
+//! `bench_check FILE`: the traced (and sampled) producing-phase wall
+//! time must stay within `--obs-budget` (default 1.10×) of the untraced
+//! run and the ring must drop nothing; `drain_ns`, the time `finish`
+//! blocks on the writer's residual drain, is recorded per row and
+//! guarded cross-run against the committed baseline.
 
 use prio_bench::{obs_overhead, record};
 use std::process::ExitCode;

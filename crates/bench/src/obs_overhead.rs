@@ -6,36 +6,35 @@
 //! * **untraced** — prioritize + simulate, no trace consumer attached
 //!   (the baseline everything is judged against);
 //! * **traced** — prioritize + [`simulate_streamed`] through a full-rate
-//!   [`StreamingTraceWriter`] into a deferred-drain [`TracePipeline`]
-//!   (writer parked, see below) over a discarding sink;
-//! * **sampled** — the same with a 1/1000 [`JobSampler`], the low-cost
-//!   mode `--trace-sample` offers.
+//!   [`StreamingTraceWriter`] into the production [`event_pipeline`] (the
+//!   one `prio simulate --trace-out` runs, default ring, writer thread
+//!   draining concurrently) over a discarding sink;
+//! * **sampled** — the same with a 1/[`SAMPLE_MODULUS`] [`JobSampler`],
+//!   the low-cost mode `--trace-sample` offers.
 //!
 //! ## What is gated vs. what is recorded
 //!
-//! The pipeline's contract is that tracing **never blocks the sim
-//! clock**: the overhead that matters for measurement fidelity is what
-//! the producing thread pays — per event, a sampler hash, a buffer
-//! append, and an amortized ring push. The traced/sampled columns
-//! measure exactly that: the writer thread stays parked during the
-//! producing phase (deferred mode), so its CPU time cannot pollute the
-//! producer's wall clock, on any core count. That ratio is what the
-//! `budget` (default 1.10×) gates.
+//! The traced and sampled columns time the *producing phase*: from the
+//! start of prioritization to the simulator's return, with the writer
+//! thread encoding and discarding concurrently, exactly as it does under
+//! `--trace-out`. Their ratio to the untraced column is what the
+//! `budget` (default 1.10×) gates. On a host with a spare core the
+//! writer runs beside the simulator and the ratio is the producer-side
+//! cost — a sampler hash, a buffer append and an amortized ring push per
+//! event; on a single core the writer's time-slices land inside it too.
 //!
-//! The writer's own encode+write cost does not vanish — it is measured
-//! separately as **`drain_ns`** (the one-pass drain of the full trace at
-//! `finish`) and guarded *cross-run* against the committed baseline like
-//! any other wall-time metric. On multi-core hosts the drain overlaps
-//! the simulation in production; folding it into the gated ratio would
-//! make the gate measure host core count and disk speed instead of the
-//! perturbation the pipeline promises to bound. The `dropped` column
-//! (gated at 0) proves the ring was sized for the whole trace; the CLI
-//! end-to-end tests separately prove the *concurrent* production
-//! pipeline traces full-rate runs without dropping.
+//! **`drain_ns`** is the time [`TracePipeline::finish`] then blocks: the
+//! residual drain of whatever the writer had not caught up with when the
+//! simulator returned, plus the join. It is recorded per row and guarded
+//! cross-run against the committed baseline like any other wall time.
+//! The `dropped` column (gated at 0) proves the production ring keeps
+//! every event of a full-rate trace at these scales.
 //!
 //! The committed `BENCH_obs.json` is the contract. Rows are matched by
 //! `(workload, jobs)` like the scaling rows, so a smoke run covering only
 //! the 10⁵ tier still checks against the committed file.
+//!
+//! [`TracePipeline::finish`]: prio_obs::TracePipeline::finish
 
 use crate::record::Row;
 use crate::scaling::montage_tier;
@@ -45,7 +44,7 @@ use prio_graph::Dag;
 use prio_obs::{JobSampler, JsonlSink, DEFAULT_RING_CAPACITY};
 use prio_sim::engine::{simulate, simulate_streamed};
 use prio_sim::model::GridModel;
-use prio_sim::trace_json::{event_pipeline_deferred, StreamingTraceWriter, DEFAULT_CHUNK_EVENTS};
+use prio_sim::trace_json::{event_pipeline, StreamingTraceWriter};
 use prio_sim::PolicySpec;
 
 /// The job-count tiers, smallest first. Only the big tiers matter here:
@@ -69,17 +68,17 @@ fn iters_for(_jobs: usize) -> usize {
 }
 
 /// Measures one dag untraced / traced / sampled. Returns the row: the
-/// best-of-N `untraced_ns`, `traced_ns` and `sampled_ns` (producer side
-/// only — see the module docs), the best-of-N `drain_ns` of the
+/// best-of-N `untraced_ns`, `traced_ns` and `sampled_ns` (the producing
+/// phase — see the module docs), the best-of-N `drain_ns` of the
 /// full-rate trace, its `events`, and the events the ring `dropped`
-/// across all timed rounds (must be 0: a drop means the ring was
-/// undersized for the trace).
+/// across all full-rate rounds (must be 0).
 ///
 /// The three configurations are *interleaved* round-robin (untraced,
-/// traced, sampled, repeat) rather than measured phase-by-phase: the
-/// gated metric is a ratio, and on a shared machine a slow patch hitting
-/// one whole phase would skew it. Interleaving spreads drift evenly
-/// across the configurations; best-of-N then discards the slow rounds.
+/// traced, sampled, repeat) after one untimed warm-up round, rather than
+/// measured phase-by-phase: the gated metric is a ratio, and on a shared
+/// machine a slow patch hitting one whole phase would skew it.
+/// Interleaving spreads drift evenly across the configurations;
+/// best-of-N then discards the slow rounds.
 pub fn measure_dag(workload: &str, dag: &Dag) -> Row {
     let iters = iters_for(dag.num_nodes());
     let prio = Prioritizer::new();
@@ -92,31 +91,13 @@ pub fn measure_dag(workload: &str, dag: &Dag) -> Row {
         std::hint::black_box(simulate(dag, &policy, &model, SIM_SEED));
     };
 
-    // A full-rate trace emits a handful of events per job; size the ring
-    // (chunk records of up to 256 events each) to hold the whole trace
-    // with headroom, so deferred mode buffers losslessly.
-    let ring = DEFAULT_RING_CAPACITY.max((dag.num_nodes() / 16).next_power_of_two());
-
-    // Traced runs stream into a deferred-drain pipeline (writer parked)
-    // over a discarding sink: the producing phase's wall time is pure
-    // producer-side overhead, and `finish` is pure writer throughput —
-    // neither number is polluted by the other, or by disk speed.
-    //
-    // Deferred mode buffers the whole trace, so chunk buffers are
-    // pre-allocated and pre-faulted (`with_chunk_pool`) before the
-    // timer starts: a concurrent-drain pipeline recycles chunk memory
-    // through the allocator at steady state, and charging the producer
-    // for ~40k fresh page faults it would never pay in production
-    // would gate the measurement harness, not the pipeline.
-    // Returns (producer_ns, drain_ns, enqueued, dropped).
-    let streamed = |sampler: JobSampler, pool_chunks: usize| -> (u64, u64, u64, u64) {
+    // One traced run as `--trace-out` does it, over a discarding sink so
+    // disk speed stays out of the numbers. Returns (producer_ns,
+    // drain_ns, enqueued, dropped).
+    let streamed = |sampler: JobSampler| -> (u64, u64, u64, u64) {
         let sink = JsonlSink::to_writer(Box::new(std::io::sink()));
-        let pipeline = event_pipeline_deferred(sink, ring, sampler.modulus());
-        let writer = if pool_chunks > 0 {
-            StreamingTraceWriter::with_chunk_pool(&pipeline, sampler, pool_chunks)
-        } else {
-            StreamingTraceWriter::new(&pipeline, sampler)
-        };
+        let pipeline = event_pipeline(sink, DEFAULT_RING_CAPACITY, sampler.modulus());
+        let writer = StreamingTraceWriter::new(&pipeline, sampler);
         let producer_ns = timed(|| {
             std::hint::black_box(prio.prioritize(dag).unwrap());
             std::hint::black_box(simulate_streamed(
@@ -130,30 +111,20 @@ pub fn measure_dag(workload: &str, dag: &Dag) -> Row {
         (producer_ns, drain_ns, stats.enqueued, stats.dropped)
     };
 
-    // Warm-up rounds (not timed, not drop-counted): page in the dag,
-    // the allocator arenas, and the pipeline code paths — and discover
-    // each configuration's event count, which sizes the pre-faulted
-    // chunk pool for the timed rounds.
-    untraced();
-    let (_, _, full_events, _) = streamed(JobSampler::full_rate(), 0);
-    let (_, _, sampled_events, _) = streamed(JobSampler::new(SAMPLE_MODULUS), 0);
-    let pool = |events: u64| events as usize / DEFAULT_CHUNK_EVENTS + 2;
-
     let mut dropped = 0u64;
     let mut events = 0u64;
     let mut drain_ns = u64::MAX;
     let mut traced = || {
-        let (producer, drain, enqueued, drops) =
-            streamed(JobSampler::full_rate(), pool(full_events));
+        let (producer, drain, enqueued, drops) = streamed(JobSampler::full_rate());
         drain_ns = drain_ns.min(drain);
         events = enqueued;
         dropped += drops;
         producer
     };
-    let mut sampled = || streamed(JobSampler::new(SAMPLE_MODULUS), pool(sampled_events)).0;
+    let mut sampled = || streamed(JobSampler::new(SAMPLE_MODULUS)).0;
     let best = best_ns_interleaved_n(
         &mut [&mut || timed(untraced), &mut traced, &mut sampled],
-        0,
+        1,
         iters,
     );
 
@@ -211,7 +182,7 @@ mod tests {
         }
         assert!(
             row.metric("drain_ns") > 0.0,
-            "the deferred drain is a real phase"
+            "finish joins the writer thread"
         );
         assert!(row.metric("events") > 0.0, "a full-rate trace has events");
         assert_eq!(

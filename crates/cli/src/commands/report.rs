@@ -22,6 +22,7 @@ use crate::error::CliError;
 use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
 use prio_obs::report::Table;
 use prio_obs::stream::{self, JsonlReader, Record};
+use prio_obs::PipelineStats;
 use std::io::BufRead;
 
 pub fn run(argv: &[String]) -> Result<(), CliError> {
@@ -66,15 +67,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         print!("{}", render_text(&sources, &comparison));
     }
     Ok(())
-}
-
-/// The trailing drop-accounting record the trace pipeline appends
-/// (`meta` with `command=trace_pipeline`).
-#[derive(Debug, Clone, Copy)]
-struct PipelineMeta {
-    enqueued: u64,
-    dropped: u64,
-    sample: u64,
 }
 
 /// One time-series telemetry record (`type: "ts"`).
@@ -160,7 +152,7 @@ struct Source {
     registry_hists: Vec<HistRecord>,
     counters: u64,
     /// Drop accounting from the capture pipeline, when the trace has it.
-    pipeline: Option<PipelineMeta>,
+    pipeline: Option<PipelineStats>,
 }
 
 impl Source {
@@ -230,11 +222,7 @@ impl Source {
                         *current_policy = policy.to_string();
                     }
                 } else if command == "trace_pipeline" {
-                    self.pipeline = Some(PipelineMeta {
-                        enqueued: u("enqueued"),
-                        dropped: u("dropped"),
-                        sample: u("sample").max(1),
-                    });
+                    self.pipeline = Some(PipelineStats::from_meta(v));
                 }
                 self.metas.push(format!("{command} {detail}"));
             }

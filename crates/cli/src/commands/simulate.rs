@@ -60,8 +60,36 @@ fn fault_config(args: &Args) -> Result<Option<FaultConfig>, CliError> {
     }))
 }
 
+/// Largest `--trace-ring`: 2^22 slots. Each slot holds one chunk of up
+/// to 256 events, so this is room for ~10^9 buffered events, while the
+/// slot array (allocated whole at start, ~40 bytes a slot) stays near
+/// 160 MB. Larger values would only ask for memory up front — or, near
+/// `usize::MAX`, overflow the power-of-two rounding.
+const MAX_TRACE_RING: usize = 1 << 22;
+
+/// `--trace-out` with its `--trace-sample` modulus and `--trace-ring`
+/// size; `None` without `--trace-out`. Checked before any simulation
+/// runs, so a bad value costs nothing.
+fn trace_config(args: &Args) -> Result<Option<(&str, u64, usize)>, CliError> {
+    let Some(out) = args.get("trace-out") else {
+        return Ok(None);
+    };
+    let sample: u64 = args.get_parsed("trace-sample", 1)?;
+    if sample == 0 {
+        return Err(CliError::usage("--trace-sample must be >= 1"));
+    }
+    let ring: usize = args.get_parsed("trace-ring", DEFAULT_RING_CAPACITY)?;
+    if !(2..=MAX_TRACE_RING).contains(&ring) {
+        return Err(CliError::usage(format!(
+            "--trace-ring must be between 2 and {MAX_TRACE_RING} slots"
+        )));
+    }
+    Ok(Some((out, sample, ring)))
+}
+
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
+    let trace = trace_config(&args)?;
     let (name, dag) = load_dag(&args)?;
     let mu_bit: f64 = args.get_parsed("mu-bit", 1.0)?;
     let mu_bs: f64 = args.get_parsed("mu-bs", 16.0)?;
@@ -160,15 +188,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     // then the span and metric snapshots, all as JSONL. The telemetry is
     // a pure function of the seed, so serial and `--threads` invocations
     // write identical `ts`/`hist` records.
-    if let Some(out) = args.get("trace-out") {
-        let sample: u64 = args.get_parsed("trace-sample", 1)?;
-        if sample == 0 {
-            return Err(CliError::usage("--trace-sample must be >= 1"));
-        }
-        let ring: usize = args.get_parsed("trace-ring", DEFAULT_RING_CAPACITY)?;
-        if ring < 2 {
-            return Err(CliError::usage("--trace-ring must be >= 2"));
-        }
+    if let Some((out, sample, ring)) = trace {
         let io_err = |e: std::io::Error| CliError::input(format!("{out}: {e}"));
         let sink = JsonlSink::to_file(Path::new(out)).map_err(io_err)?;
         // Events stream through the bounded async pipeline: the sim

@@ -34,6 +34,7 @@ use crate::error::CliError;
 use prio_obs::json::{JsonObject, JsonValue, SCHEMA_VERSION};
 use prio_obs::report::Table;
 use prio_obs::stream;
+use prio_obs::PipelineStats;
 use prio_sim::trace::TraceEvent;
 use prio_sim::trace_json::event_from_value;
 
@@ -225,30 +226,9 @@ impl Segment {
     }
 }
 
-/// Capture-pipeline accounting read from the trailing `trace_pipeline`
-/// meta record. Traces from older builds (or written directly by the
-/// sink) carry no such record and default to complete/full-rate.
-#[derive(Debug, Clone, Copy)]
-struct TraceHealth {
-    /// Events dropped at capture (ring overflow): the lifecycle record
-    /// is incomplete and reconstructions are unsound.
-    dropped: u64,
-    /// Sampling modulus (1 = every job's lifecycle present).
-    sample: u64,
-}
-
-impl Default for TraceHealth {
-    fn default() -> TraceHealth {
-        TraceHealth {
-            dropped: 0,
-            sample: 1,
-        }
-    }
-}
-
 /// Prints the loud stderr warnings every analysis owes the user when the
 /// trace was captured lossily or sampled.
-fn warn_health(path: &str, health: &TraceHealth) {
+fn warn_health(path: &str, health: &PipelineStats) {
     if health.dropped > 0 {
         eprintln!(
             "prio: WARNING: {path}: lossy trace — {} events were dropped at capture \
@@ -264,12 +244,15 @@ fn warn_health(path: &str, health: &TraceHealth) {
     }
 }
 
-/// Streams one trace file into its policy segments. Events before the
-/// first `policy=` meta line land in a `"-"` segment.
-fn load_segments(path: &str) -> Result<(Vec<Segment>, TraceHealth), CliError> {
+/// Streams one trace file into its policy segments and its capture
+/// accounting (the trailing `trace_pipeline` record). Events before the
+/// first `policy=` meta line land in a `"-"` segment. Traces without the
+/// record — older builds, or written directly by the sink — read as
+/// complete and full-rate.
+fn load_segments(path: &str) -> Result<(Vec<Segment>, PipelineStats), CliError> {
     let reader = stream::open(path).map_err(|e| CliError::input(format!("{path}: {e}")))?;
     let mut segments: Vec<Segment> = Vec::new();
-    let mut health = TraceHealth::default();
+    let mut health = PipelineStats::from_meta(&JsonValue::Null);
     for record in reader {
         let record = record.map_err(|e| CliError::input(format!("{path}: {e}")))?;
         let v = &record.value;
@@ -284,12 +267,7 @@ fn load_segments(path: &str) -> Result<(Vec<Segment>, TraceHealth), CliError> {
                         segments.push(Segment::new(policy));
                     }
                 } else if str_of("command") == "trace_pipeline" {
-                    health.dropped = v.get("dropped").and_then(JsonValue::as_u64).unwrap_or(0);
-                    health.sample = v
-                        .get("sample")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(1)
-                        .max(1);
+                    health = PipelineStats::from_meta(v);
                 }
             }
             "ts" => {
@@ -819,9 +797,11 @@ fn diff(argv: &[String]) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use prio_obs::sink::JsonlSink;
+    use prio_sim::engine::simulate_streamed;
     use prio_sim::model::GridModel;
     use prio_sim::policy::PolicySpec;
     use prio_sim::trace_json::{write_telemetry, write_trace};
+    use std::cell::RefCell;
     use std::path::PathBuf;
 
     /// Writes a real simulator trace (both policies) and returns its path.
@@ -838,10 +818,11 @@ mod tests {
                 "prio" => PolicySpec::Oblivious(prio_core::fifo::fifo_schedule(&dag)),
                 _ => PolicySpec::Fifo,
             };
-            let out = prio_sim::engine::simulate_traced(&dag, &spec, &model, 3);
+            let trace = RefCell::new(Vec::new());
+            let out = simulate_streamed(&dag, &spec, &model, None, 3, &trace);
             sink.write_meta("trace", &format!("policy={policy} seed=3"))
                 .unwrap();
-            write_trace(&sink, out.trace.as_ref().unwrap()).unwrap();
+            write_trace(&sink, &trace.into_inner()).unwrap();
             write_telemetry(&sink, policy, out.telemetry.as_ref().unwrap()).unwrap();
         }
         sink.flush().unwrap();
@@ -914,11 +895,14 @@ mod tests {
         let a = simulated_trace("diff_a");
         // A different dag size to trip the job-count check.
         let dag = prio_graph::Dag::from_arcs(3, &[(0, 1), (1, 2)]).unwrap();
-        let out = prio_sim::engine::simulate_traced(
+        let trace = RefCell::new(Vec::new());
+        simulate_streamed(
             &dag,
             &PolicySpec::Fifo,
             &GridModel::paper(0.3, 2.0),
+            None,
             3,
+            &trace,
         );
         let b = std::env::temp_dir().join(format!(
             "prio_trace_test_diff_b_{}.jsonl",
@@ -926,7 +910,7 @@ mod tests {
         ));
         let sink = JsonlSink::to_file(&b).unwrap();
         sink.write_meta("trace", "policy=fifo seed=3").unwrap();
-        write_trace(&sink, out.trace.as_ref().unwrap()).unwrap();
+        write_trace(&sink, &trace.into_inner()).unwrap();
         sink.flush().unwrap();
         let argv: Vec<String> = [a.to_str().unwrap(), b.to_str().unwrap()]
             .iter()

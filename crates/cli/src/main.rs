@@ -223,7 +223,8 @@ GLOBAL FLAGS:
     --trace-out F   write structured JSONL events/spans/counters to F
                     (simulate streams events through a bounded async ring;
                     --trace-sample N keeps lifecycle events for ~1/N of
-                    jobs, --trace-ring N sizes the ring in slots)
+                    jobs, --trace-ring N sizes the ring in 256-event
+                    slots: 2..=4194304, default 131072)
     --metrics-out F write a Prometheus text-format snapshot of all
                     counters/gauges/histograms to F at exit
     --profile-alloc attach allocation count/bytes/peak deltas to every span

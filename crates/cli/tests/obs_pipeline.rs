@@ -23,7 +23,7 @@ fn tempdir(name: &str) -> PathBuf {
 
 /// Runs `prio simulate --trace-out trace.jsonl` with minimal replication
 /// (the trace phase is what is under test) plus `extra` flags.
-fn simulate_traced(dir: &Path, extra: &[&str]) -> Output {
+fn simulate_to_trace(dir: &Path, extra: &[&str]) -> Output {
     let mut args = vec![
         "simulate",
         "--workload",
@@ -63,7 +63,7 @@ fn pipeline_field(trace: &str, key: &str) -> u64 {
 #[test]
 fn full_rate_trace_drops_nothing_and_report_stays_quiet() {
     let dir = tempdir("full-rate");
-    let out = simulate_traced(&dir, &[]);
+    let out = simulate_to_trace(&dir, &[]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -95,6 +95,22 @@ fn full_rate_trace_drops_nothing_and_report_stays_quiet() {
 }
 
 #[test]
+fn oversized_trace_ring_is_a_usage_error_before_anything_runs() {
+    let dir = tempdir("huge-ring");
+    // u64::MAX used to wrap the power-of-two rounding to 0 and 2^62 to
+    // overflow the slot allocation; both are refused before the
+    // workload loads or the ring is built.
+    for ring in ["18446744073709551615", "4611686018427387904", "4194305"] {
+        let out = simulate_to_trace(&dir, &["--trace-ring", ring]);
+        assert_eq!(out.status.code(), Some(2), "--trace-ring {ring}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--trace-ring"), "{stderr}");
+        assert!(!stderr.contains("simulating"), "{stderr}");
+        assert!(!dir.join("trace.jsonl").exists());
+    }
+}
+
+#[test]
 fn tiny_ring_drops_events_and_report_warns_end_to_end() {
     let dir = tempdir("tiny-ring");
     // Capacity 2 is the smallest ring; every writer stall (buffer flush,
@@ -102,7 +118,7 @@ fn tiny_ring_drops_events_and_report_warns_end_to_end() {
     // emitting. Retry a few seeds so the race cannot flake the test.
     let mut dropped = 0;
     for seed in ["1", "2", "3", "4", "5"] {
-        let out = simulate_traced(&dir, &["--trace-ring", "2", "--seed", seed]);
+        let out = simulate_to_trace(&dir, &["--trace-ring", "2", "--seed", seed]);
         assert!(
             out.status.success(),
             "stderr: {}",
@@ -146,7 +162,7 @@ fn tiny_ring_drops_events_and_report_warns_end_to_end() {
 #[test]
 fn trace_sample_thins_job_events_and_tags_the_trace() {
     let dir = tempdir("sampled");
-    let out = simulate_traced(&dir, &["--trace-sample", "8"]);
+    let out = simulate_to_trace(&dir, &["--trace-sample", "8"]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -168,7 +184,7 @@ fn trace_sample_thins_job_events_and_tags_the_trace() {
     let sampled_jobs = job_events(&sampled);
 
     let dir_full = tempdir("sampled-baseline");
-    let out = simulate_traced(&dir_full, &[]);
+    let out = simulate_to_trace(&dir_full, &[]);
     assert!(out.status.success());
     let full = std::fs::read_to_string(dir_full.join("trace.jsonl")).unwrap();
     assert!(
@@ -206,7 +222,7 @@ fn trace_sample_thins_job_events_and_tags_the_trace() {
 #[test]
 fn metrics_out_writes_a_prometheus_snapshot() {
     let dir = tempdir("metrics-out");
-    let out = simulate_traced(&dir, &["--metrics-out", "metrics.prom"]);
+    let out = simulate_to_trace(&dir, &["--metrics-out", "metrics.prom"]);
     assert!(
         out.status.success(),
         "stderr: {}",

@@ -10,9 +10,11 @@
 //!
 //! Two producer entry points with different overflow policies:
 //!
-//! * [`TracePipeline::event`] — lossy. When the ring is full the event is
-//!   **counted and dropped** (the `obs.sink.dropped_events` counter plus
-//!   an internal tally); the sim clock never blocks on telemetry.
+//! * [`TracePipeline::chunk`] — lossy. Producers batch events locally and
+//!   hand over whole chunks; when the ring is full the chunk is **counted
+//!   and dropped** (the `obs.sink.dropped_events` counter plus an
+//!   internal tally, both per event); the sim clock never blocks on
+//!   telemetry.
 //! * [`TracePipeline::control`] — lossless, and already encoded (control
 //!   records are rare, so their formatting cost is irrelevant). Meta
 //!   records and snapshot lines must not be reordered past buffered
@@ -29,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::json::JsonObject;
+use crate::json::{JsonObject, JsonValue};
 use crate::metrics;
 use crate::ring::Ring;
 use crate::sink::JsonlSink;
@@ -40,11 +42,10 @@ use crate::sink::JsonlSink;
 /// stalls. Overridable per run via `--trace-ring`.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 17;
 
-/// What travels through the ring: an un-encoded event, a chunk of
-/// events (producers batch locally to amortize queue traffic — see
-/// [`TracePipeline::chunk`]), or an already encoded control line.
+/// What travels through the ring: a chunk of un-encoded events
+/// (producers batch locally to amortize queue traffic — see
+/// [`TracePipeline::chunk`]) or an already encoded control line.
 enum Record<T> {
-    Event(T),
     Chunk(Vec<T>),
     Control(String),
 }
@@ -87,6 +88,20 @@ impl PipelineStats {
             .u64("sample", self.sample)
             .finish()
     }
+
+    /// Reads a parsed [`Self::meta_line`] record back — the one reader
+    /// `prio report` and `prio trace` share. Missing fields read as 0
+    /// and `sample` as at least 1, so any object (even an empty one)
+    /// reads as a complete, full-rate capture.
+    pub fn from_meta(meta: &JsonValue) -> PipelineStats {
+        let field = |key: &str| meta.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        PipelineStats {
+            enqueued: field("enqueued"),
+            written: field("written"),
+            dropped: field("dropped"),
+            sample: field("sample").max(1),
+        }
+    }
 }
 
 /// Shared producer/consumer state.
@@ -95,9 +110,6 @@ struct Shared<T> {
     /// Set by [`TracePipeline::finish`]; the writer drains what is left
     /// and exits.
     closed: AtomicBool,
-    /// When true the writer thread parks until `closed` is set instead
-    /// of draining concurrently (see [`TracePipeline::start_deferred`]).
-    deferred: bool,
     enqueued: AtomicU64,
     dropped: AtomicU64,
     /// The `obs.sink.dropped_events` handle, resolved once at start so
@@ -127,18 +139,6 @@ impl<T: Send> std::fmt::Debug for TracePipeline<T> {
     }
 }
 
-impl TracePipeline<String> {
-    /// A pipeline whose events are already encoded lines — the tests'
-    /// and ad-hoc producers' convenience constructor. Production trace
-    /// paths use [`TracePipeline::start`] with a compact event type so
-    /// encoding stays off the hot thread.
-    pub fn start_lines(sink: JsonlSink, capacity: usize, sample: u64) -> TracePipeline<String> {
-        TracePipeline::start(sink, capacity, sample, |line: &String, out| {
-            out.push_str(line)
-        })
-    }
-}
-
 impl<T: Send + 'static> TracePipeline<T> {
     /// Starts the writer thread draining a ring of `capacity` slots into
     /// `sink`. `sample` is the sampling modulus the producer applies (1
@@ -150,39 +150,6 @@ impl<T: Send + 'static> TracePipeline<T> {
     where
         F: FnMut(&T, &mut String) + Send + 'static,
     {
-        Self::start_impl(sink, capacity, sample, Box::new(encode), false)
-    }
-
-    /// Like [`TracePipeline::start`], but the writer thread stays parked
-    /// (consuming no CPU) until [`TracePipeline::finish`], which then
-    /// drains everything in one pass. Overhead-measurement mode: with
-    /// the writer quiescent, the wall time of the producing phase is
-    /// exactly the overhead tracing imposes on the producing thread, and
-    /// the drain time is exactly the writer's encode+write throughput —
-    /// on any core count. Requires a ring large enough for the whole
-    /// trace (overflow is counted-and-dropped as usual, so an undersized
-    /// ring is loud, not wrong), and [`TracePipeline::control`] must not
-    /// be called before `finish` on a full ring (it would spin against a
-    /// parked writer).
-    pub fn start_deferred<F>(
-        sink: JsonlSink,
-        capacity: usize,
-        sample: u64,
-        encode: F,
-    ) -> TracePipeline<T>
-    where
-        F: FnMut(&T, &mut String) + Send + 'static,
-    {
-        Self::start_impl(sink, capacity, sample, Box::new(encode), true)
-    }
-
-    fn start_impl(
-        sink: JsonlSink,
-        capacity: usize,
-        sample: u64,
-        encode: Encoder<T>,
-        deferred: bool,
-    ) -> TracePipeline<T> {
         // Resolve the drop counter up front: exposition always shows it
         // (a healthy run exports an explicit 0, not an absence) and the
         // drop path never takes the registry lock.
@@ -191,7 +158,6 @@ impl<T: Send + 'static> TracePipeline<T> {
         let shared = Arc::new(Shared {
             ring: Ring::with_capacity(capacity),
             closed: AtomicBool::new(false),
-            deferred,
             enqueued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             drop_counter,
@@ -199,7 +165,7 @@ impl<T: Send + 'static> TracePipeline<T> {
         let writer_shared = Arc::clone(&shared);
         let writer = std::thread::Builder::new()
             .name("prio-trace-writer".into())
-            .spawn(move || writer_loop(writer_shared, sink, encode))
+            .spawn(move || writer_loop(writer_shared, sink, Box::new(encode)))
             .expect("spawn trace writer thread");
         TracePipeline {
             shared,
@@ -208,29 +174,12 @@ impl<T: Send + 'static> TracePipeline<T> {
         }
     }
 
-    /// Enqueues one event value, dropping it (counted, never blocking)
-    /// when the ring is full. No allocation, no formatting — those
-    /// happen on the writer thread. Producers emitting at simulator
-    /// rates should prefer [`TracePipeline::chunk`], which amortizes the
-    /// queue's per-push cache traffic across a whole batch.
-    pub fn event(&self, event: T) {
-        match self.shared.ring.push(Record::Event(event)) {
-            Ok(()) => {
-                self.shared.enqueued.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_rejected) => {
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                self.shared.drop_counter.add(1);
-            }
-        }
-    }
-
     /// Enqueues a batch of events as one ring record — the hot-path
     /// entry point. A push costs one CAS and a pointer-sized memcpy
     /// regardless of the batch size, so producers that buffer a few
     /// hundred events locally pay well under a nanosecond of queue
-    /// traffic per event. Lossy like [`TracePipeline::event`]: when the
-    /// ring is full the whole chunk is counted dropped, never blocking.
+    /// traffic per event. Lossy: when the ring is full the whole chunk is
+    /// counted dropped, never blocking.
     pub fn chunk(&self, events: Vec<T>) {
         let n = events.len() as u64;
         if n == 0 {
@@ -266,11 +215,6 @@ impl<T: Send + 'static> TracePipeline<T> {
         }
     }
 
-    /// Events dropped so far (live view; exact once quiescent).
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
     /// Closes the pipeline: the writer drains every remaining line,
     /// flushes, and hands the sink back so the caller can append the
     /// [`PipelineStats::meta_line`] drop-accounting record and final
@@ -279,8 +223,6 @@ impl<T: Send + 'static> TracePipeline<T> {
     pub fn finish(mut self) -> (JsonlSink, PipelineStats, io::Result<()>) {
         self.shared.closed.store(true, Ordering::Release);
         let writer = self.writer.take().expect("finish called once");
-        // A deferred writer is parked; wake it to drain (no-op otherwise).
-        writer.thread().unpark();
         let (sink, written, result) = match writer.join() {
             Ok(out) => out,
             Err(panic) => std::panic::resume_unwind(panic),
@@ -301,7 +243,6 @@ impl<T: Send + 'static> Drop for TracePipeline<T> {
         // paths stop the writer so the process does not hang on exit.
         if let Some(writer) = self.writer.take() {
             self.shared.closed.store(true, Ordering::Release);
-            writer.thread().unpark();
             let _ = writer.join();
         }
     }
@@ -326,7 +267,6 @@ struct BatchEncoder<T> {
 impl<T> BatchEncoder<T> {
     fn record(&mut self, record: Record<T>) {
         match record {
-            Record::Event(event) => self.event(&event),
             Record::Chunk(events) => {
                 for event in &events {
                     self.event(event);
@@ -402,13 +342,6 @@ fn writer_loop<T>(
         written: 0,
         first_err: Ok(()),
     };
-    if shared.deferred {
-        // Overhead-measurement mode: stay off the CPU until close, then
-        // drain in one pass. park() can wake spuriously, so re-check.
-        while !shared.closed.load(Ordering::Acquire) {
-            std::thread::park();
-        }
-    }
     loop {
         match shared.ring.pop() {
             Some(record) => out.record(record),
@@ -468,7 +401,14 @@ mod tests {
     ) -> (TracePipeline<String>, Arc<Mutex<Vec<u8>>>) {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = JsonlSink::to_writer(Box::new(SharedBuf(buf.clone())));
-        (TracePipeline::start_lines(sink, capacity, sample), buf)
+        (lines_pipeline(sink, capacity, sample), buf)
+    }
+
+    /// A pipeline whose events are already encoded lines.
+    fn lines_pipeline(sink: JsonlSink, capacity: usize, sample: u64) -> TracePipeline<String> {
+        TracePipeline::start(sink, capacity, sample, |line: &String, out| {
+            out.push_str(line)
+        })
     }
 
     fn lines(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<String> {
@@ -482,8 +422,12 @@ mod tests {
     #[test]
     fn writes_every_event_in_order_when_the_ring_is_large_enough() {
         let (pipeline, buf) = capture_pipeline(1 << 12, 1);
-        for i in 0..1000 {
-            pipeline.event(format!("{{\"type\":\"ev\",\"i\":{i}}}"));
+        for chunk in 0..10 {
+            pipeline.chunk(
+                (chunk * 100..(chunk + 1) * 100)
+                    .map(|i| format!("{{\"type\":\"ev\",\"i\":{i}}}"))
+                    .collect(),
+            );
         }
         let (sink, stats, result) = pipeline.finish();
         result.unwrap();
@@ -513,7 +457,7 @@ mod tests {
                 let pipeline = &pipeline;
                 scope.spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        pipeline.event(format!("{{\"p\":{p},\"i\":{i}}}"));
+                        pipeline.chunk(vec![format!("{{\"p\":{p},\"i\":{i}}}")]);
                     }
                 });
             }
@@ -558,39 +502,16 @@ mod tests {
             }
         }
         let sink = JsonlSink::to_writer(Box::new(BrokenDisk));
-        let pipeline = TracePipeline::start_lines(sink, 64, 1);
-        pipeline.event("{\"type\":\"ev\",\"i\":0}".into());
-        pipeline.event("{\"type\":\"ev\",\"i\":1}".into());
+        let pipeline = lines_pipeline(sink, 64, 1);
+        pipeline.chunk(vec![
+            "{\"type\":\"ev\",\"i\":0}".into(),
+            "{\"type\":\"ev\",\"i\":1}".into(),
+        ]);
         let (_sink, stats, result) = pipeline.finish();
         let err = result.expect_err("write error must surface");
         assert_eq!(err.to_string(), "disk full");
         assert_eq!(stats.written, 0);
         assert_eq!(stats.enqueued, 2);
-    }
-
-    #[test]
-    fn deferred_pipeline_stays_quiet_until_finish_then_drains_in_order() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonlSink::to_writer(Box::new(SharedBuf(buf.clone())));
-        let pipeline: TracePipeline<String> =
-            TracePipeline::start_deferred(sink, 1 << 12, 1, |line: &String, out| {
-                out.push_str(line)
-            });
-        for i in 0..1000 {
-            pipeline.event(format!("{{\"i\":{i}}}"));
-        }
-        // The parked writer must not have touched the sink yet — that
-        // quiescence is the whole point of deferred mode.
-        assert!(buf.lock().unwrap().is_empty());
-        let (_sink, stats, result) = pipeline.finish();
-        result.unwrap();
-        assert_eq!(
-            (stats.enqueued, stats.written, stats.dropped),
-            (1000, 1000, 0)
-        );
-        let drained = lines(&buf);
-        assert_eq!(drained.len(), 1000);
-        assert_eq!(drained[17], "{\"i\":17}");
     }
 
     #[test]
@@ -612,8 +533,7 @@ mod tests {
     #[test]
     fn an_embedded_newline_in_an_event_is_an_error_not_a_torn_line() {
         let (pipeline, buf) = capture_pipeline(16, 1);
-        pipeline.event("{\"ok\":1}".into());
-        pipeline.event("{\"bad\":\ntrue}".into());
+        pipeline.chunk(vec!["{\"ok\":1}".into(), "{\"bad\":\ntrue}".into()]);
         let (_sink, _stats, result) = pipeline.finish();
         let err = result.expect_err("embedded newline must surface");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -624,11 +544,33 @@ mod tests {
     #[test]
     fn drop_accounting_meta_line_carries_the_sample_modulus() {
         let (pipeline, _buf) = capture_pipeline(16, 8);
-        pipeline.event("{\"type\":\"ev\"}".into());
+        pipeline.chunk(vec!["{\"type\":\"ev\"}".into()]);
         let (_sink, stats, result) = pipeline.finish();
         result.unwrap();
         let meta = stats.meta_line();
         assert!(meta.contains("\"sample\":8"), "{meta}");
         assert!(meta.contains("\"enqueued\":1"), "{meta}");
+    }
+
+    #[test]
+    fn from_meta_reads_back_the_meta_line_and_defaults_missing_fields() {
+        let stats = PipelineStats {
+            enqueued: 90,
+            written: 80,
+            dropped: 10,
+            sample: 8,
+        };
+        let parsed = crate::json::parse(&stats.meta_line()).unwrap();
+        assert_eq!(PipelineStats::from_meta(&parsed), stats);
+        let bare = crate::json::parse("{\"type\":\"meta\",\"sample\":0}").unwrap();
+        assert_eq!(
+            PipelineStats::from_meta(&bare),
+            PipelineStats {
+                enqueued: 0,
+                written: 0,
+                dropped: 0,
+                sample: 1,
+            }
+        );
     }
 }

@@ -66,9 +66,17 @@ impl<T> std::fmt::Debug for Ring<T> {
 
 impl<T> Ring<T> {
     /// A ring holding up to `capacity` records (rounded up to a power of
-    /// two, minimum 2).
+    /// two, minimum 2). Every slot is allocated up front, so callers
+    /// taking the capacity from user input bound it first.
+    ///
+    /// # Panics
+    ///
+    /// When rounding `capacity` up to a power of two overflows `usize`.
     pub fn with_capacity(capacity: usize) -> Ring<T> {
-        let cap = capacity.max(2).next_power_of_two();
+        let cap = capacity
+            .max(2)
+            .checked_next_power_of_two()
+            .expect("ring capacity overflows usize when rounded to a power of two");
         Ring {
             slots: (0..cap)
                 .map(|i| Slot {

@@ -85,13 +85,15 @@ proptest! {
     ) {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = JsonlSink::to_writer(Box::new(SharedBuf(buf.clone())));
-        let pipeline = TracePipeline::start_lines(sink, capacity, 1);
+        let pipeline = TracePipeline::start(sink, capacity, 1, |line: &String, out: &mut String| {
+            out.push_str(line)
+        });
         std::thread::scope(|scope| {
             for p in 0..producers {
                 let pipeline = &pipeline;
                 scope.spawn(move || {
                     for i in 0..per_producer {
-                        pipeline.event(format!("{{\"p\":{p},\"i\":{i}}}"));
+                        pipeline.chunk(vec![format!("{{\"p\":{p},\"i\":{i}}}")]);
                     }
                 });
             }

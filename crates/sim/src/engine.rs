@@ -28,7 +28,7 @@ use crate::metrics::RunMetrics;
 use crate::model::{GridModel, UnfilledRequests};
 use crate::policy::PolicySpec;
 use crate::telemetry::SimTelemetry;
-use crate::trace::{Trace, TraceConsumer, TraceEvent, STREAM_BATCH_EVENTS};
+use crate::trace::{Trace, TraceConsumer, TraceEvent, TRACE_CHUNK_EVENTS};
 use prio_graph::{Dag, NodeId};
 use prio_stats::{seeded_rng, Exponential};
 use rand::Rng as _;
@@ -109,9 +109,7 @@ pub struct SimOutcome {
     pub wasted_time: f64,
     /// Per-job resolution, when the fault layer was active.
     pub outcomes: Option<Vec<JobOutcome>>,
-    /// Event trace, when requested.
-    pub trace: Option<Trace>,
-    /// Time-series and latency telemetry, when requested (traced runs).
+    /// Time-series and latency telemetry, when requested (streamed runs).
     pub telemetry: Option<SimTelemetry>,
 }
 
@@ -134,7 +132,7 @@ impl SimOutcome {
     }
 }
 
-/// Bookkeeping for telemetry collection during a traced run: the
+/// Bookkeeping for telemetry collection during a streamed run: the
 /// telemetry itself plus per-job timestamps used to derive wait and
 /// service latencies, and the running assignment count feeding the
 /// utilization series.
@@ -192,13 +190,7 @@ struct FaultState {
 /// Simulates one execution of `dag` under `policy` and `model` with the
 /// given `seed` (the paper's reliable grid).
 pub fn simulate(dag: &Dag, policy: &PolicySpec, model: &GridModel, seed: u64) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, None, seed, false, None)
-}
-
-/// Like [`simulate`] but records a full event trace and per-step
-/// telemetry ([`SimTelemetry`]) — slower; for `--trace-out` and tests.
-pub fn simulate_traced(dag: &Dag, policy: &PolicySpec, model: &GridModel, seed: u64) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, None, seed, true, None)
+    run::<dyn TraceConsumer>(dag, policy, model, None, seed, None)
 }
 
 /// Simulates one execution with fault injection and recovery. An
@@ -210,28 +202,16 @@ pub fn simulate_faulty(
     faults: &FaultConfig,
     seed: u64,
 ) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, Some(faults), seed, false, None)
+    run::<dyn TraceConsumer>(dag, policy, model, Some(faults), seed, None)
 }
 
-/// Like [`simulate_faulty`] but records the full event trace and
-/// telemetry.
-pub fn simulate_faulty_traced(
-    dag: &Dag,
-    policy: &PolicySpec,
-    model: &GridModel,
-    faults: &FaultConfig,
-    seed: u64,
-) -> SimOutcome {
-    run::<dyn TraceConsumer>(dag, policy, model, Some(faults), seed, true, None)
-}
-
-/// Like [`simulate_faulty_traced`] but *streams* every trace event into
-/// `consumer` at its emission site instead of buffering the trace in
-/// memory (`SimOutcome::trace` stays `None`; telemetry is still
-/// collected in full, so aggregates remain exact even when the consumer
-/// samples or drops events). Event order and content are identical to
-/// the buffered trace of the same `(dag, policy, model, faults, seed)`.
-/// Pass `None` for `faults` to stream the reliable model.
+/// Like [`simulate_faulty`] but streams every trace event into
+/// `consumer` as it is emitted and collects the per-step telemetry
+/// ([`SimTelemetry`]) in full, so aggregates stay exact even when the
+/// consumer samples or drops events. The production consumer is the
+/// `--trace-out` writer (`trace_json::StreamingTraceWriter`); a
+/// `RefCell<Trace>` collects the events in memory. Pass `None` for
+/// `faults` to stream the reliable model.
 pub fn simulate_streamed<S: TraceConsumer + ?Sized>(
     dag: &Dag,
     policy: &PolicySpec,
@@ -240,7 +220,7 @@ pub fn simulate_streamed<S: TraceConsumer + ?Sized>(
     seed: u64,
     consumer: &S,
 ) -> SimOutcome {
-    run(dag, policy, model, faults, seed, false, Some(consumer))
+    run(dag, policy, model, faults, seed, Some(consumer))
 }
 
 /// Marks every unresolved descendant of `job` unreachable (none of them
@@ -264,25 +244,22 @@ fn mark_descendants_unreachable(
     marked
 }
 
-/// Routes trace events to an in-memory buffer (`simulate_traced`), a
-/// streaming [`TraceConsumer`] (`simulate_streamed`), or both — behind
-/// one `active()` test so the untraced hot path stays a single branch
-/// per emission site.
+/// Routes trace events to the streaming [`TraceConsumer`]
+/// (`simulate_streamed`) behind one `active()` test, so the untraced hot
+/// path stays a single branch per emission site.
 struct TraceEmitter<'a, S: TraceConsumer + ?Sized> {
-    buffer: Option<Trace>,
     stream: Option<&'a S>,
-    /// Pending events for `stream`, handed over in
-    /// [`STREAM_BATCH_EVENTS`]-sized runs so the hot emission path is a
-    /// plain `Vec` push and the consumer boundary (with its interior
-    /// mutability) is crossed once per batch.
+    /// Pending events for `stream`, handed over in [`TRACE_CHUNK_EVENTS`]
+    /// runs so the hot emission path is a plain `Vec` push and the
+    /// consumer boundary (with its interior mutability) is crossed once
+    /// per batch.
     batch: Trace,
 }
 
 impl<S: TraceConsumer + ?Sized> TraceEmitter<'_, S> {
-    /// `Some(self)` iff any destination is attached, mirroring the old
-    /// `Option<Trace>::as_mut()` shape at every emission site.
+    /// `Some(self)` iff a consumer is attached.
     fn active(&mut self) -> Option<&mut Self> {
-        if self.buffer.is_some() || self.stream.is_some() {
+        if self.stream.is_some() {
             Some(self)
         } else {
             None
@@ -292,25 +269,20 @@ impl<S: TraceConsumer + ?Sized> TraceEmitter<'_, S> {
     fn push(&mut self, event: TraceEvent) {
         if let Some(stream) = self.stream {
             self.batch.push(event);
-            if self.batch.len() == STREAM_BATCH_EVENTS {
+            if self.batch.len() == TRACE_CHUNK_EVENTS {
                 stream.consume_batch(&self.batch);
                 self.batch.clear();
             }
         }
-        if let Some(buffer) = self.buffer.as_mut() {
-            buffer.push(event);
-        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run<S: TraceConsumer + ?Sized>(
     dag: &Dag,
     policy: &PolicySpec,
     model: &GridModel,
     faults: Option<&FaultConfig>,
     seed: u64,
-    traced: bool,
     stream: Option<&S>,
 ) -> SimOutcome {
     let n = dag.num_nodes();
@@ -359,10 +331,9 @@ fn run<S: TraceConsumer + ?Sized>(
         }
     }
     let mut trace = TraceEmitter {
-        buffer: traced.then(Vec::new),
         stream,
         batch: Vec::with_capacity(if stream.is_some() {
-            STREAM_BATCH_EVENTS
+            TRACE_CHUNK_EVENTS
         } else {
             0
         }),
@@ -381,14 +352,13 @@ fn run<S: TraceConsumer + ?Sized>(
     // Serving-worker ids for trace assignment events: sequential over
     // granted requests, bumped only when a trace destination is active.
     let mut next_worker = 0u64;
-    // Telemetry rides along only on traced/streamed runs so the plain
-    // `simulate` hot path allocates nothing extra. Streamed runs always
-    // collect it in full — sampling happens in the consumer, so
+    // Telemetry rides along only on streamed runs so the plain
+    // `simulate` hot path allocates nothing extra. It is always
+    // collected in full — sampling happens in the consumer, so
     // aggregates stay exact. `eligible_at` starts at 0.0 (sources are
     // eligible from the start) and is overwritten whenever a job
     // (re-)enters the ready queue.
-    let collect_telemetry = traced || stream.is_some();
-    let mut telem: Option<TelemetryState> = collect_telemetry.then(|| TelemetryState {
+    let mut telem: Option<TelemetryState> = stream.is_some().then(|| TelemetryState {
         telemetry: SimTelemetry::new(),
         eligible_at: vec![0.0; n],
         assigned_at: vec![0.0; n],
@@ -760,7 +730,6 @@ fn run<S: TraceConsumer + ?Sized>(
                 .map(|o| o.expect("every job resolves before the run ends"))
                 .collect()
         }),
-        trace: trace.buffer,
         telemetry: telem.map(|ts| ts.telemetry),
     }
 }
@@ -855,9 +824,23 @@ mod tests {
     use prio_core::fifo::fifo_schedule;
     use prio_core::Schedule;
     use prio_graph::topo::critical_path_len;
+    use std::cell::RefCell;
 
     fn fifo() -> PolicySpec {
         PolicySpec::Fifo
+    }
+
+    /// Streams one run into the in-memory collector.
+    fn traced(
+        dag: &Dag,
+        policy: &PolicySpec,
+        model: &GridModel,
+        faults: Option<&FaultConfig>,
+        seed: u64,
+    ) -> (SimOutcome, Trace) {
+        let trace = RefCell::new(Vec::new());
+        let out = simulate_streamed(dag, policy, model, faults, seed, &trace);
+        (out, trace.into_inner())
     }
 
     fn oblivious(dag: &Dag) -> PolicySpec {
@@ -918,8 +901,7 @@ mod tests {
     fn conservation_laws() {
         let dag = Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
         let model = GridModel::paper(0.3, 2.0);
-        let out = simulate_traced(&dag, &oblivious(&dag), &model, 3);
-        let trace = out.trace.as_ref().unwrap();
+        let (out, trace) = traced(&dag, &oblivious(&dag), &model, None, 3);
         let assigned = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobAssigned { .. }))
@@ -944,10 +926,10 @@ mod tests {
     fn trace_respects_dependencies() {
         let dag = Dag::from_arcs(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let model = GridModel::paper(0.2, 8.0);
-        let out = simulate_traced(&dag, &fifo(), &model, 9);
+        let (_, trace) = traced(&dag, &fifo(), &model, None, 9);
         let mut completed_at = [f64::NAN; 4];
         let mut assigned_at = [f64::NAN; 4];
-        for e in out.trace.as_ref().unwrap() {
+        for e in &trace {
             match e {
                 TraceEvent::JobAssigned { time, job, .. } => assigned_at[job.index()] = *time,
                 TraceEvent::JobCompleted { time, job } => completed_at[job.index()] = *time,
@@ -1000,10 +982,10 @@ mod tests {
     fn waiting_workers_preserve_dependencies() {
         let dag = Dag::from_arcs(5, &[(0, 2), (1, 2), (2, 3), (2, 4)]).unwrap();
         let model = GridModel::paper(0.5, 2.0).with_waiting_workers();
-        let out = simulate_traced(&dag, &PolicySpec::Fifo, &model, 8);
+        let (_, trace) = traced(&dag, &PolicySpec::Fifo, &model, None, 8);
         let mut completed_at = [f64::NAN; 5];
         let mut assigned_at = [f64::NAN; 5];
-        for e in out.trace.as_ref().unwrap() {
+        for e in &trace {
             match e {
                 TraceEvent::JobAssigned { time, job, .. } => assigned_at[job.index()] = *time,
                 TraceEvent::JobCompleted { time, job } => completed_at[job.index()] = *time,
@@ -1029,8 +1011,7 @@ mod tests {
     fn failures_retry_until_success() {
         let dag = chain(6);
         let model = GridModel::paper(0.5, 4.0).with_failures(0.4);
-        let out = simulate_traced(&dag, &fifo(), &model, 21);
-        let trace = out.trace.as_ref().unwrap();
+        let (out, trace) = traced(&dag, &fifo(), &model, None, 21);
         let failures = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
@@ -1105,8 +1086,8 @@ mod tests {
         let plain = simulate(&dag, &fifo(), &model, 5);
         let faulty = simulate_faulty(&dag, &fifo(), &model, &FaultConfig::none(), 5);
         assert_eq!(plain, faulty);
-        let traced_plain = simulate_traced(&dag, &fifo(), &model, 5);
-        let traced_faulty = simulate_faulty_traced(&dag, &fifo(), &model, &FaultConfig::none(), 5);
+        let traced_plain = traced(&dag, &fifo(), &model, None, 5);
+        let traced_faulty = traced(&dag, &fifo(), &model, Some(&FaultConfig::none()), 5);
         assert_eq!(traced_plain, traced_faulty);
     }
 
@@ -1118,10 +1099,9 @@ mod tests {
             model: FaultModel::with_rate(0.4),
             retry: RetryPolicy::dagman(30),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 21);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 21);
         assert_eq!(out.completed, 12);
         assert_eq!(out.failed_permanent, 0, "30 retries is plenty at p=0.4");
-        let trace = out.trace.as_ref().unwrap();
         let failed = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
@@ -1148,7 +1128,7 @@ mod tests {
             model: FaultModel::none().failing_first(NodeId(1), u32::MAX),
             retry: RetryPolicy::dagman(1),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 9);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 9);
         assert_eq!(out.completed, 2, "jobs 0 and 5 complete");
         assert_eq!(out.failed_permanent, 1);
         assert_eq!(out.unreachable, 3);
@@ -1162,8 +1142,7 @@ mod tests {
             assert_eq!(outcomes[dead], JobOutcome::Unreachable);
         }
         // The stranded jobs were never assigned.
-        let trace = out.trace.as_ref().unwrap();
-        for e in trace {
+        for e in &trace {
             if let TraceEvent::JobAssigned { job, .. } = e {
                 assert!(job.index() < 2 || job.index() == 5, "dead job assigned");
             }
@@ -1187,8 +1166,7 @@ mod tests {
                 backoff: Backoff::Fixed(5.0),
             },
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 3);
-        let trace = out.trace.as_ref().unwrap();
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 3);
         let fail_t = trace
             .iter()
             .find_map(|e| match e {
@@ -1227,9 +1205,8 @@ mod tests {
             model: FaultModel::none().with_churn(8.0, 2.0),
             retry: RetryPolicy::dagman(50),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 17);
+        let (out, trace) = traced(&dag, &fifo(), &model, Some(&faults), 17);
         assert_eq!(out.completed, 12, "churn with generous retries recovers");
-        let trace = out.trace.as_ref().unwrap();
         let downs: Vec<f64> = trace
             .iter()
             .filter_map(|e| match e {
@@ -1254,7 +1231,7 @@ mod tests {
         // Assignments never happen while the pool is down.
         let mut up = true;
         let mut down_since = 0.0;
-        for e in trace {
+        for e in &trace {
             match e {
                 TraceEvent::WorkerDown { time, .. } => {
                     up = false;
@@ -1284,7 +1261,7 @@ mod tests {
     fn traced_runs_collect_consistent_telemetry() {
         let dag = Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
         let model = GridModel::paper(0.3, 2.0);
-        let out = simulate_traced(&dag, &oblivious(&dag), &model, 3);
+        let (out, _) = traced(&dag, &oblivious(&dag), &model, None, 3);
         let telem = out.telemetry.as_ref().expect("traced runs carry telemetry");
         // One wait sample per assignment, one service sample per
         // completion (reliable model: both equal the job count).
@@ -1316,14 +1293,12 @@ mod tests {
     fn telemetry_is_deterministic_per_seed() {
         let dag = chain(15);
         let model = GridModel::paper(0.5, 4.0).with_failures(0.2);
-        let a = simulate_traced(&dag, &fifo(), &model, 17);
-        let b = simulate_traced(&dag, &fifo(), &model, 17);
+        let (a, trace) = traced(&dag, &fifo(), &model, None, 17);
+        let (b, _) = traced(&dag, &fifo(), &model, None, 17);
         assert_eq!(a, b, "telemetry must be a pure function of the seed");
         // With failures, waits outnumber services by the retry count.
         let telem = a.telemetry.unwrap();
-        let failures = a
-            .trace
-            .unwrap()
+        let failures = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::JobFailed { .. }))
             .count() as u64;
@@ -1340,7 +1315,7 @@ mod tests {
             model: FaultModel::with_rate(0.35),
             retry: RetryPolicy::dagman(20),
         };
-        let out = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 11);
+        let (out, _) = traced(&dag, &fifo(), &model, Some(&faults), 11);
         let telem = out.telemetry.as_ref().unwrap();
         assert_eq!(
             telem.job_attempts.count(),
@@ -1351,53 +1326,77 @@ mod tests {
         assert!(telem.job_attempts.summary().max >= 1);
     }
 
-    /// A consumer buffering into a mutex so tests can compare streamed
-    /// and buffered traces event for event.
-    struct Collect(std::sync::Mutex<Trace>);
+    /// Runs one seed through what `prio simulate --trace-out` runs —
+    /// `event_pipeline` drained by its concurrent writer thread, fed by a
+    /// full-rate `StreamingTraceWriter` — into an in-memory sink, and
+    /// reads the JSONL back.
+    fn through_the_pipeline(
+        dag: &Dag,
+        policy: &PolicySpec,
+        model: &GridModel,
+        faults: Option<&FaultConfig>,
+        seed: u64,
+    ) -> (SimOutcome, Trace) {
+        use crate::trace_json::{event_pipeline, read_trace, StreamingTraceWriter};
+        use prio_obs::{JobSampler, JsonlSink};
+        use std::sync::{Arc, Mutex};
 
-    impl TraceConsumer for Collect {
-        fn consume(&self, event: &TraceEvent) {
-            self.0.lock().unwrap().push(*event);
+        #[derive(Clone)]
+        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+        impl std::io::Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
         }
+
+        let bytes = Arc::new(Mutex::new(Vec::new()));
+        let sink = JsonlSink::to_writer(Box::new(SharedBuf(Arc::clone(&bytes))));
+        let pipeline = event_pipeline(sink, prio_obs::DEFAULT_RING_CAPACITY, 1);
+        let writer = StreamingTraceWriter::new(&pipeline, JobSampler::full_rate());
+        let out = simulate_streamed(dag, policy, model, faults, seed, &writer);
+        let (_sink, stats, result) = pipeline.finish();
+        result.unwrap();
+        assert_eq!(stats.dropped, 0);
+        let text = String::from_utf8(bytes.lock().unwrap().clone()).unwrap();
+        (out, read_trace(&text).unwrap())
     }
 
     #[test]
-    fn streamed_trace_equals_buffered_trace_event_for_event() {
+    fn production_pipeline_writes_the_collected_trace_event_for_event() {
         let dag = Dag::from_arcs(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]).unwrap();
         let model = GridModel::paper(0.3, 2.0);
-        let buffered = simulate_traced(&dag, &oblivious(&dag), &model, 3);
-        let collector = Collect(std::sync::Mutex::new(Vec::new()));
-        let streamed = simulate_streamed(&dag, &oblivious(&dag), &model, None, 3, &collector);
-        assert_eq!(
-            collector.0.into_inner().unwrap(),
-            *buffered.trace.as_ref().unwrap(),
-            "streaming must not change event order or content"
-        );
-        // Streamed runs keep nothing in memory but still collect the
-        // full telemetry; everything else matches the buffered run.
-        assert!(streamed.trace.is_none());
-        assert_eq!(streamed.telemetry, buffered.telemetry);
-        assert_eq!(streamed.makespan, buffered.makespan);
-        assert_eq!(streamed.metrics(), buffered.metrics());
-    }
+        let policy = oblivious(&dag);
+        let (collected_out, collected) = traced(&dag, &policy, &model, None, 3);
+        let (written_out, written) = through_the_pipeline(&dag, &policy, &model, None, 3);
+        assert!(!collected.is_empty());
+        assert_eq!(written, collected, "the file must replay the run exactly");
+        assert_eq!(written_out, collected_out);
 
-    #[test]
-    fn streamed_faulty_trace_equals_buffered() {
-        let dag = chain(12);
+        // A faulty run long enough to span several engine batches and
+        // writer chunks.
+        let dag = chain(400);
         let model = GridModel::paper(0.5, 4.0);
         let faults = FaultConfig {
-            model: FaultModel::with_rate(0.4),
+            model: FaultModel::with_rate(0.4).with_churn(8.0, 2.0),
             retry: RetryPolicy::dagman(30),
         };
-        let buffered = simulate_faulty_traced(&dag, &fifo(), &model, &faults, 21);
-        let collector = Collect(std::sync::Mutex::new(Vec::new()));
-        let streamed = simulate_streamed(&dag, &fifo(), &model, Some(&faults), 21, &collector);
-        assert_eq!(
-            collector.0.into_inner().unwrap(),
-            *buffered.trace.as_ref().unwrap()
+        let (collected_out, collected) = traced(&dag, &fifo(), &model, Some(&faults), 21);
+        let (written_out, written) = through_the_pipeline(&dag, &fifo(), &model, Some(&faults), 21);
+        assert!(
+            collected.len() > 2 * TRACE_CHUNK_EVENTS,
+            "{}",
+            collected.len()
         );
-        assert_eq!(streamed.outcomes, buffered.outcomes);
-        assert_eq!(streamed.failed_attempts, buffered.failed_attempts);
+        assert!(collected
+            .iter()
+            .any(|e| matches!(e, TraceEvent::JobRetried { .. })));
+        assert_eq!(written, collected);
+        assert_eq!(written_out.outcomes, collected_out.outcomes);
+        assert_eq!(written_out, collected_out);
     }
 
     #[test]
@@ -1410,11 +1409,8 @@ mod tests {
             mean_batch_size: 1.0,
             ..GridModel::paper(5.0, 1.0)
         };
-        let out = simulate_traced(&dag, &PolicySpec::Oblivious(sched), &model, 2);
-        let first_assigned = out
-            .trace
-            .as_ref()
-            .unwrap()
+        let (_, trace) = traced(&dag, &PolicySpec::Oblivious(sched), &model, None, 2);
+        let first_assigned = trace
             .iter()
             .find_map(|e| match e {
                 TraceEvent::JobAssigned { job, .. } => Some(*job),

@@ -10,8 +10,8 @@
 //! assigned) and *service* (assigned → completed), recorded in
 //! milli-timeunits ([`TIME_SCALE`]).
 //!
-//! Collection happens only in traced runs
-//! ([`crate::engine::simulate_traced`]); it is deterministic per seed and
+//! Collection happens only in streamed runs
+//! ([`crate::engine::simulate_streamed`]); it is deterministic per seed and
 //! independent of how many threads drive surrounding replications, so
 //! serial and `--threads` invocations report identical telemetry.
 

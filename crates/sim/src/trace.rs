@@ -1,6 +1,8 @@
-//! Optional event tracing for tests and debugging.
+//! The simulator's trace events and the consumer interface they stream
+//! through.
 
 use prio_graph::NodeId;
+use std::cell::RefCell;
 
 /// One simulator event. `Copy` is load-bearing: the streaming trace
 /// writer enqueues events by value into the bounded ring, so the hot
@@ -95,14 +97,17 @@ pub enum TraceEvent {
 /// A recorded event sequence.
 pub type Trace = Vec<TraceEvent>;
 
-/// Events the engine buffers locally between [`TraceConsumer`] calls: a
-/// plain `Vec` push per event, one `consume_batch` per this many. Kept
-/// equal to the writer's chunk size so a full-rate batch becomes exactly
-/// one chunk.
-pub const STREAM_BATCH_EVENTS: usize = 256;
+/// Events per hand-off, on both sides of the streaming writer: the
+/// engine buffers this many locally between [`TraceConsumer`] calls (a
+/// plain `Vec` push per event, one `consume_batch` per run), and the
+/// `StreamingTraceWriter` ships chunks of this many through the trace
+/// ring, so a full-rate batch becomes exactly one chunk. Amortizes
+/// queue traffic to a fraction of a nanosecond per event while bounding
+/// both the latency of an event reaching disk and the drop granularity.
+pub const TRACE_CHUNK_EVENTS: usize = 256;
 
 /// A streaming consumer of trace events, called synchronously at each
-/// emission site instead of (or alongside) buffering into a [`Trace`].
+/// emission site.
 ///
 /// `consume` takes `&self` so one consumer can be shared by reference
 /// with the engine; implementations needing state use interior
@@ -115,7 +120,7 @@ pub trait TraceConsumer {
     fn consume(&self, event: &TraceEvent);
 
     /// Receives a run of consecutive events, in emission order. The
-    /// engine batches emissions ([`STREAM_BATCH_EVENTS`] at a time) so
+    /// engine batches emissions ([`TRACE_CHUNK_EVENTS`] at a time) so
     /// the consumer boundary is crossed once per batch instead of once
     /// per event; consumers that can ingest a slice wholesale (the
     /// production `StreamingTraceWriter` memcpys it into its chunk
@@ -133,4 +138,17 @@ pub trait TraceConsumer {
     /// `StreamingTraceWriter` chunks them to amortize queue traffic)
     /// hand their tail downstream here; the default is a no-op.
     fn flush(&self) {}
+}
+
+/// The in-memory collector: `simulate_streamed(.., &RefCell::new(Vec::new()))`
+/// records every event, in emission order, for tests and in-process
+/// analyses that want the whole [`Trace`].
+impl TraceConsumer for RefCell<Trace> {
+    fn consume(&self, event: &TraceEvent) {
+        self.borrow_mut().push(*event);
+    }
+
+    fn consume_batch(&self, events: &[TraceEvent]) {
+        self.borrow_mut().extend_from_slice(events);
+    }
 }

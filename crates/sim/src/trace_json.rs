@@ -25,25 +25,19 @@
 //! accepted as v1; records from a *newer* schema are errors.
 
 use crate::telemetry::SimTelemetry;
-use crate::trace::{Trace, TraceConsumer, TraceEvent};
+use crate::trace::{Trace, TraceConsumer, TraceEvent, TRACE_CHUNK_EVENTS};
 use prio_graph::NodeId;
 use prio_obs::json::{
     parse, write_json_f64, write_json_u64, F64Cache, JsonObject, JsonValue, SCHEMA_VERSION,
 };
 use prio_obs::{JobSampler, JsonlSink, TracePipeline};
+use std::cell::RefCell;
 
 /// Serializes one event as a single-line JSON object.
 pub fn event_to_json(event: &TraceEvent) -> String {
     let mut buf = String::new();
-    event_json_into(event, &mut buf);
+    encode_event(event, &mut buf, &mut write_json_f64);
     buf
-}
-
-/// Appends the single-line JSON object for `event` to `buf` (cleared
-/// first), reusing `buf`'s allocation.
-pub fn event_json_into(event: &TraceEvent, buf: &mut String) {
-    buf.clear();
-    encode_event(event, buf, &mut write_json_f64);
 }
 
 // The encoder hardcodes `"v":3` in its literal prefixes; bump them in
@@ -52,7 +46,7 @@ const _: () = assert!(SCHEMA_VERSION == 3);
 
 /// The shared encoder body: appends `event` as one JSON line, routing
 /// every float field through `f` so callers choose between the plain
-/// shortest-round-trip writer ([`event_json_into`]) and a formatting
+/// shortest-round-trip writer ([`event_to_json`]) and a formatting
 /// memo cache (the trace pipeline's writer thread). Everything else is
 /// literal pushes and a fmt-free digit loop — on the writer thread this
 /// runs per event for multi-million-event traces, and its cost is what
@@ -178,23 +172,6 @@ fn encode_event(event: &TraceEvent, buf: &mut String, f: &mut impl FnMut(f64, &m
 pub fn event_pipeline(sink: JsonlSink, capacity: usize, sample: u64) -> TracePipeline<TraceEvent> {
     let mut cache = F64Cache::new();
     TracePipeline::start(sink, capacity, sample, move |event, buf| {
-        encode_event(event, buf, &mut |v, out| cache.write(v, out))
-    })
-}
-
-/// [`event_pipeline`] with a parked writer (see
-/// [`TracePipeline::start_deferred`]): the producing phase's wall time
-/// is pure producer-side overhead, the `finish` call is pure writer
-/// throughput. This is what the `obs_overhead` bench measures; the
-/// caller must size `capacity` (in 256-event chunk records) for the
-/// whole trace.
-pub fn event_pipeline_deferred(
-    sink: JsonlSink,
-    capacity: usize,
-    sample: u64,
-) -> TracePipeline<TraceEvent> {
-    let mut cache = F64Cache::new();
-    TracePipeline::start_deferred(sink, capacity, sample, move |event, buf| {
         encode_event(event, buf, &mut |v, out| cache.write(v, out))
     })
 }
@@ -330,22 +307,13 @@ pub struct StreamingTraceWriter<'a> {
     pipeline: &'a TracePipeline<TraceEvent>,
     sampler: JobSampler,
     /// Local event buffer, handed to the pipeline as one chunk when it
-    /// reaches `chunk` events (and at [`TraceConsumer::flush`]). The
-    /// ring push is a CAS plus a pointer-sized memcpy, but at simulator
-    /// emission rates even that cross-core cache traffic shows up;
-    /// batching divides it by the chunk size.
-    buffer: std::cell::RefCell<Vec<TraceEvent>>,
-    chunk: usize,
-    /// Pre-faulted replacement buffers ([`Self::with_chunk_pool`]);
-    /// empty for ordinary writers, which allocate replacements on
-    /// demand.
-    pool: std::cell::RefCell<Vec<Vec<TraceEvent>>>,
+    /// reaches [`TRACE_CHUNK_EVENTS`] events (and at
+    /// [`TraceConsumer::flush`]). The ring push is a CAS plus a
+    /// pointer-sized memcpy, but at simulator emission rates even that
+    /// cross-core cache traffic shows up; batching divides it by the
+    /// chunk size.
+    buffer: RefCell<Vec<TraceEvent>>,
 }
-
-/// Events buffered locally per ring push. Amortizes queue traffic to a
-/// fraction of a nanosecond per event while bounding both the latency of
-/// an event reaching disk and the chunk's drop granularity.
-pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 
 impl<'a> StreamingTraceWriter<'a> {
     /// A writer streaming into `pipeline`, keeping the jobs `sampler`
@@ -355,56 +323,18 @@ impl<'a> StreamingTraceWriter<'a> {
         pipeline: &'a TracePipeline<TraceEvent>,
         sampler: JobSampler,
     ) -> StreamingTraceWriter<'a> {
-        Self::with_chunk(pipeline, sampler, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Like [`StreamingTraceWriter::new`] with an explicit chunk size.
-    /// Chunks are dropped whole when the ring overflows, so callers
-    /// exercising tiny rings (tests, `--trace-ring` experiments) should
-    /// keep `chunk` at or below the ring capacity.
-    pub fn with_chunk(
-        pipeline: &'a TracePipeline<TraceEvent>,
-        sampler: JobSampler,
-        chunk: usize,
-    ) -> StreamingTraceWriter<'a> {
-        let chunk = chunk.max(1);
         StreamingTraceWriter {
             pipeline,
             sampler,
-            buffer: std::cell::RefCell::new(Vec::with_capacity(chunk)),
-            chunk,
-            pool: std::cell::RefCell::new(Vec::new()),
+            buffer: RefCell::new(Vec::with_capacity(TRACE_CHUNK_EVENTS)),
         }
     }
 
-    /// Like [`StreamingTraceWriter::new`], but with `pool_chunks`
-    /// replacement buffers allocated — and their pages faulted in — up
-    /// front. Ordinary (concurrent-drain) writers do not need this: the
-    /// writer thread frees chunks as it drains, so the allocator
-    /// recycles warm memory and steady-state chunk swaps touch no new
-    /// pages. A *deferred-drain* pipeline instead buffers the whole
-    /// trace, and every replacement buffer would fault fresh pages
-    /// inside whatever the caller is measuring; pre-faulting moves that
-    /// one-time cost into setup. The pool is best-effort — when it runs
-    /// dry the writer falls back to plain allocation.
-    pub fn with_chunk_pool(
-        pipeline: &'a TracePipeline<TraceEvent>,
-        sampler: JobSampler,
-        pool_chunks: usize,
-    ) -> StreamingTraceWriter<'a> {
-        let writer = Self::new(pipeline, sampler);
-        let filler = TraceEvent::WorkerUp { time: 0.0 };
-        let pool = (0..pool_chunks)
-            .map(|_| {
-                // `vec![filler; n]` writes every element, faulting the
-                // buffer's pages; clearing keeps the warm capacity.
-                let mut buf = vec![filler; writer.chunk];
-                buf.clear();
-                buf
-            })
-            .collect();
-        *writer.pool.borrow_mut() = pool;
-        writer
+    /// Ships the full `buffer` through the ring as one chunk, leaving a
+    /// fresh empty buffer in its place.
+    fn ship(&self, buffer: &mut Vec<TraceEvent>) {
+        let full = std::mem::replace(buffer, Vec::with_capacity(TRACE_CHUNK_EVENTS));
+        self.pipeline.chunk(full);
     }
 
     /// The node id an event is scoped to, if it is job-scoped.
@@ -434,14 +364,8 @@ impl TraceConsumer for StreamingTraceWriter<'_> {
         }
         let mut buffer = self.buffer.borrow_mut();
         buffer.push(*event);
-        if buffer.len() >= self.chunk {
-            let replacement = self
-                .pool
-                .borrow_mut()
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(self.chunk));
-            let full = std::mem::replace(&mut *buffer, replacement);
-            self.pipeline.chunk(full);
+        if buffer.len() >= TRACE_CHUNK_EVENTS {
+            self.ship(&mut buffer);
         }
     }
 
@@ -456,23 +380,17 @@ impl TraceConsumer for StreamingTraceWriter<'_> {
         }
         // Full rate keeps everything: ingest the slice wholesale,
         // splitting on chunk boundaries. The common case — an empty
-        // buffer receiving a batch of exactly `chunk` events — is one
-        // memcpy and one ring push.
+        // buffer receiving one full engine batch — is one memcpy and one
+        // ring push.
         let mut buffer = self.buffer.borrow_mut();
         let mut rest = events;
         while !rest.is_empty() {
-            let room = self.chunk - buffer.len();
+            let room = TRACE_CHUNK_EVENTS - buffer.len();
             let (head, tail) = rest.split_at(room.min(rest.len()));
             buffer.extend_from_slice(head);
             rest = tail;
-            if buffer.len() >= self.chunk {
-                let replacement = self
-                    .pool
-                    .borrow_mut()
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(self.chunk));
-                let full = std::mem::replace(&mut *buffer, replacement);
-                self.pipeline.chunk(full);
+            if buffer.len() >= TRACE_CHUNK_EVENTS {
+                self.ship(&mut buffer);
             }
         }
     }

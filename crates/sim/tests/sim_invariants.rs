@@ -15,14 +15,29 @@
 //!    the pre-fault build.
 
 use prio_graph::{Dag, NodeId};
-use prio_sim::engine::{simulate_faulty, simulate_faulty_traced, simulate_traced};
-use prio_sim::trace::TraceEvent;
+use prio_sim::engine::{simulate_faulty, simulate_streamed};
+use prio_sim::trace::{Trace, TraceEvent};
 use prio_sim::{
     simulate, Backoff, FaultConfig, FaultModel, GridModel, JobOutcome, PolicySpec, RetryPolicy,
+    SimOutcome,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+
+/// Streams one run into the in-memory collector.
+fn traced(
+    dag: &Dag,
+    policy: &PolicySpec,
+    model: &GridModel,
+    faults: Option<&FaultConfig>,
+    seed: u64,
+) -> (SimOutcome, Trace) {
+    let trace = RefCell::new(Vec::new());
+    let out = simulate_streamed(dag, policy, model, faults, seed, &trace);
+    (out, trace.into_inner())
+}
 
 /// A random dag: `n` nodes, arcs oriented low → high so acyclicity holds
 /// by construction.
@@ -145,10 +160,9 @@ proptest! {
         seed in 0u64..1 << 48,
     ) {
         let model = GridModel::paper(0.4, 3.0);
-        let out = simulate_faulty_traced(&dag, &PolicySpec::Fifo, &model, &faults, seed);
-        let trace = out.trace.as_ref().expect("traced");
+        let (out, trace) = traced(&dag, &PolicySpec::Fifo, &model, Some(&faults), seed);
         let (assigned, completed) =
-            check_precedence(&dag, trace).map_err(TestCaseError::fail)?;
+            check_precedence(&dag, &trace).map_err(TestCaseError::fail)?;
         let outcomes = out.outcomes.as_ref().expect("fault runs report outcomes");
         for (i, outcome) in outcomes.iter().enumerate() {
             match outcome {
@@ -233,9 +247,8 @@ proptest! {
         let plain = simulate(&dag, &PolicySpec::Fifo, &model, seed);
         let faulty = simulate_faulty(&dag, &PolicySpec::Fifo, &model, &zero, seed);
         prop_assert_eq!(&plain, &faulty);
-        let plain_traced = simulate_traced(&dag, &PolicySpec::Fifo, &model, seed);
-        let faulty_traced =
-            simulate_faulty_traced(&dag, &PolicySpec::Fifo, &model, &zero, seed);
+        let plain_traced = traced(&dag, &PolicySpec::Fifo, &model, None, seed);
+        let faulty_traced = traced(&dag, &PolicySpec::Fifo, &model, Some(&zero), seed);
         prop_assert_eq!(&plain_traced, &faulty_traced);
     }
 
@@ -340,20 +353,20 @@ fn paper_workflows_match_pre_fault_trace_hashes() {
     ];
     let model = GridModel::paper(1.0, 16.0);
     for (name, dag, expected) in &workloads {
-        let out = simulate_traced(dag, &PolicySpec::Fifo, &model, 20060401);
-        let h = trace_hash(out.trace.as_ref().unwrap(), out.makespan);
+        let (out, trace) = traced(dag, &PolicySpec::Fifo, &model, None, 20060401);
+        let h = trace_hash(&trace, out.makespan);
         assert_eq!(
             h, *expected,
             "{name}: reliable trace diverged from the pre-fault engine"
         );
-        let faulty = simulate_faulty_traced(
+        let (faulty, faulty_trace) = traced(
             dag,
             &PolicySpec::Fifo,
             &model,
-            &FaultConfig::none(),
+            Some(&FaultConfig::none()),
             20060401,
         );
-        let hf = trace_hash(faulty.trace.as_ref().unwrap(), faulty.makespan);
+        let hf = trace_hash(&faulty_trace, faulty.makespan);
         assert_eq!(
             hf, *expected,
             "{name}: inactive fault config perturbed the trace"
@@ -362,9 +375,9 @@ fn paper_workflows_match_pre_fault_trace_hashes() {
     // PRIO on AIRSN pins the oblivious-policy path too.
     let dag = prio_workloads::airsn::airsn_paper();
     let prio = PolicySpec::Oblivious(prio_core::prio::prioritize(&dag).unwrap().schedule);
-    let out = simulate_traced(&dag, &prio, &model, 20060401);
+    let (out, trace) = traced(&dag, &prio, &model, None, 20060401);
     assert_eq!(
-        trace_hash(out.trace.as_ref().unwrap(), out.makespan),
+        trace_hash(&trace, out.makespan),
         0xA8270C74B4974240,
         "airsn-prio: reliable trace diverged from the pre-fault engine"
     );

@@ -11,13 +11,26 @@
 use prio_graph::{Dag, NodeId};
 use prio_obs::json::{parse, JsonValue, SCHEMA_VERSION};
 use prio_obs::JsonlSink;
-use prio_sim::engine::{simulate_faulty_traced, simulate_traced};
-use prio_sim::trace::TraceEvent;
+use prio_sim::engine::simulate_streamed;
+use prio_sim::trace::{Trace, TraceEvent};
 use prio_sim::trace_json::{
     event_from_json, event_to_json, read_trace, write_telemetry, write_trace,
 };
-use prio_sim::{FaultConfig, FaultModel, GridModel, PolicySpec, RetryPolicy};
+use prio_sim::{FaultConfig, FaultModel, GridModel, PolicySpec, RetryPolicy, SimOutcome};
 use proptest::prelude::*;
+use std::cell::RefCell;
+
+/// Streams one FIFO run into the in-memory collector.
+fn traced(
+    dag: &Dag,
+    model: &GridModel,
+    faults: Option<&FaultConfig>,
+    seed: u64,
+) -> (SimOutcome, Trace) {
+    let trace = RefCell::new(Vec::new());
+    let out = simulate_streamed(dag, &PolicySpec::Fifo, model, faults, seed, &trace);
+    (out, trace.into_inner())
+}
 
 /// The `TraceEvent` variant discriminants a full round-trip must cover.
 fn variant_name(event: &TraceEvent) -> &'static str {
@@ -62,15 +75,13 @@ fn jsonl_trace_replays_event_for_event() {
     // Find a seed whose run contains every event variant (deterministic:
     // the first qualifying seed never changes). Arrivals, assignments,
     // and completions occur in any finished run; failures need p > 0.
-    let (seed, outcome) = (0..100)
+    let (seed, outcome, trace) = (0..100)
         .find_map(|seed| {
-            let out = simulate_traced(&dag, &PolicySpec::Fifo, &model, seed);
-            let trace = out.trace.as_ref().expect("traced run records a trace");
+            let (out, trace) = traced(&dag, &model, None, seed);
             let covered: std::collections::BTreeSet<_> = trace.iter().map(variant_name).collect();
-            (covered.len() == 6).then_some((seed, out))
+            (covered.len() == 6).then_some((seed, out, trace))
         })
         .expect("some seed under p=0.4 must cover all six reliable-path event variants");
-    let trace = outcome.trace.expect("traced run records a trace");
     let telemetry = outcome.telemetry.expect("traced run records telemetry");
 
     // Serialize through the sink with non-event lines interleaved, exactly
@@ -148,15 +159,13 @@ fn faulty_runs_round_trip_with_all_fault_event_kinds() {
             backoff: prio_sim::Backoff::Fixed(0.25),
         },
     };
-    let (seed, outcome) = (0..200)
+    let (seed, outcome, trace) = (0..200)
         .find_map(|seed| {
-            let out = simulate_faulty_traced(&dag, &PolicySpec::Fifo, &model, &faults, seed);
-            let trace = out.trace.as_ref().expect("traced");
+            let (out, trace) = traced(&dag, &model, Some(&faults), seed);
             let covered: std::collections::BTreeSet<_> = trace.iter().map(variant_name).collect();
-            (covered.len() == 9).then_some((seed, out))
+            (covered.len() == 9).then_some((seed, out, trace))
         })
         .expect("some seed must cover all nine event variants");
-    let trace = outcome.trace.expect("traced");
     let telemetry = outcome.telemetry.expect("traced");
 
     let dir = std::env::temp_dir();
@@ -301,8 +310,7 @@ proptest! {
 fn reliable_runs_round_trip_without_failures() {
     let dag = diamond_chain();
     let model = GridModel::paper(0.5, 3.0);
-    let out = simulate_traced(&dag, &PolicySpec::Fifo, &model, 7);
-    let trace = out.trace.expect("traced");
+    let (_, trace) = traced(&dag, &model, None, 7);
     let text: String = trace
         .iter()
         .map(|e| prio_sim::trace_json::event_to_json(e) + "\n")

@@ -238,10 +238,12 @@ run_cargo build --release -p prio-bench --bin bench_check --bin bench_pipeline \
 if [ "${PRIO_BENCH_CHECK:-0}" = "1" ]; then
   # Pipeline, scaling and observability-overhead smoke: measure the cheap
   # tiers on this machine and hold them to the committed baselines
-  # (absolute wall times, ordinary threshold). The overhead budget is
-  # relaxed to 1.5x here — a loaded CI box adds noise to a one-shot
-  # measurement — while the committed BENCH_obs.json below carries the
-  # strict 1.10x contract.
+  # (absolute wall times, ordinary threshold). bench_obs times the
+  # production trace pipeline, its writer thread draining concurrently,
+  # so the traced ratio includes whatever writer work shares the
+  # benchmarked cores. The overhead budget is relaxed to 1.5x here — a
+  # loaded CI box adds noise to a one-shot measurement — while the
+  # committed BENCH_obs.json above carries the strict 1.10x contract.
   ./target/release/bench_pipeline --out target/BENCH_pipeline_smoke.json > /dev/null
   ./target/release/bench_obs --max-jobs 100000 --out target/BENCH_obs_smoke.json
   ./target/release/bench_check --threshold "${PRIO_BENCH_THRESHOLD:-2.0}" --obs-budget 1.5 \
